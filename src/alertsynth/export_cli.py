@@ -192,40 +192,26 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+# config key -> parser of its string value
+_PARSERS = {
+    "source": parse_source,
+    "weights": parse_weights,
+    "window_n": int,
+    "ais_categories": lambda v: tuple(c.strip() for c in v.split(",") if c.strip()),
+    **dict.fromkeys(("ais_map", "port_table", "homenet", "segmenter",
+                     "export_dir", "clock_mode"), str),
+    **dict.fromkeys(("tau", "bin_width", "window", "pivot_horizon",
+                     "idle_timeout", "export_interval"), parse_duration),
+    **dict.fromkeys(("sigma_bins", "valley_frac", "ks_alpha", "gamma",
+                     "merge_threshold", "retire_floor", "smoothing_eps"),
+                    parse_ratio),
+}
+
+
 def build_config(entries: Dict[str, str]) -> RunConfig:
     """RunConfig from flat string entries; unknown keys are fatal."""
     kwargs: Dict[str, object] = {}
     aliases: Dict[str, str] = {}
-    setters = {
-        "source": lambda v: kwargs.__setitem__("source", parse_source(v)),
-        "ais_map": lambda v: kwargs.__setitem__("ais_map", v),
-        "port_table": lambda v: kwargs.__setitem__("port_table", v),
-        "homenet": lambda v: kwargs.__setitem__("homenet", v),
-        "ais_categories": lambda v: kwargs.__setitem__(
-            "ais_categories", tuple(c.strip() for c in v.split(",") if c.strip())),
-        "segmenter": lambda v: kwargs.__setitem__("segmenter", v),
-        "tau": lambda v: kwargs.__setitem__("tau", parse_duration(v)),
-        "bin_width": lambda v: kwargs.__setitem__("bin_width", parse_duration(v)),
-        "sigma_bins": lambda v: kwargs.__setitem__("sigma_bins", parse_ratio(v)),
-        "valley_frac": lambda v: kwargs.__setitem__("valley_frac", parse_ratio(v)),
-        "window_n": lambda v: kwargs.__setitem__("window_n", int(v)),
-        "ks_alpha": lambda v: kwargs.__setitem__("ks_alpha", parse_ratio(v)),
-        "gamma": lambda v: kwargs.__setitem__("gamma", parse_ratio(v)),
-        "weights": lambda v: kwargs.__setitem__("weights", parse_weights(v)),
-        "window": lambda v: kwargs.__setitem__("window", parse_duration(v)),
-        "merge_threshold": lambda v: kwargs.__setitem__(
-            "merge_threshold", parse_ratio(v)),
-        "retire_floor": lambda v: kwargs.__setitem__("retire_floor", parse_ratio(v)),
-        "smoothing_eps": lambda v: kwargs.__setitem__("smoothing_eps", parse_ratio(v)),
-        "pivot_horizon": lambda v: kwargs.__setitem__(
-            "pivot_horizon", parse_duration(v)),
-        "idle_timeout": lambda v: kwargs.__setitem__(
-            "idle_timeout", parse_duration(v)),
-        "export_interval": lambda v: kwargs.__setitem__(
-            "export_interval", parse_duration(v)),
-        "export_dir": lambda v: kwargs.__setitem__("export_dir", v),
-        "clock_mode": lambda v: kwargs.__setitem__("clock_mode", v),
-    }
     for key, value in entries.items():
         if key.startswith("alias_"):
             canonical = key[len("alias_"):]
@@ -233,13 +219,11 @@ def build_config(entries: Dict[str, str]) -> RunConfig:
                 raise ConfigError(f"unknown alias key {key!r}")
             aliases[canonical] = value
             continue
-        setter = setters.get(key)
-        if setter is None:
+        parser = _PARSERS.get(key)
+        if parser is None:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            setter(value)
-        except ConfigError:
-            raise
+            kwargs[key] = parser(value)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {value!r}")
     kwargs["aliases"] = aliases
@@ -323,7 +307,6 @@ class Engine:
         self.aggregates_total = 0
         self.exports_total = 0
         self.merge_counts: List[int] = []
-        self.retired_log: List[dict] = []
         self.evidence_history: List[Tuple[int, int, float]] = []
         self.assignments: List[Tuple[List[int], int]] = []
         self._interval_us = int(config.export_interval * 1e6)
@@ -363,7 +346,8 @@ class Engine:
         self.actions_total += 1
         gap = None if elapsed_us is None else elapsed_us / 1e6
         for actions in state.handle.feed(action, gap):
-            self._admit(self._build(actions), self.clock)
+            self._admit(build_aggregate(actions, self.tables.cardinalities),
+                        self.clock)
 
     def _new_segmenter(self):
         c = self.config
@@ -371,9 +355,6 @@ class Engine:
                               sigma_bins=c.sigma_bins, valley_frac=c.valley_frac,
                               window_n=c.window_n, ks_alpha=c.ks_alpha,
                               window=c.window)
-
-    def _build(self, actions) -> Aggregate:
-        return build_aggregate(actions, self.tables.cardinalities)
 
     def _admit(self, agg: Aggregate, now: int) -> None:
         admission = self.model_set.observe(agg, now)
@@ -383,25 +364,19 @@ class Engine:
 
     def _boundary(self, ts: int) -> None:
         # idle streams are closed first so their aggregates make this export
-        evicted = self.tracker.gc(ts, self.config.idle_timeout)
-        batch: List[Aggregate] = []
-        for state in evicted:
-            if state.handle is not None:
-                for actions in state.handle.flush():
-                    batch.append(self._build(actions))
+        self._drain(self.tracker.gc(ts, self.config.idle_timeout), ts)
+
+    def _drain(self, states, ts: int) -> None:
+        """Flush the given streams, admit their aggregates in (t_end,
+        stream_id) order, retire, and export at ts."""
+        batch = [build_aggregate(actions, self.tables.cardinalities)
+                 for state in states if state.handle is not None
+                 for actions in state.handle.flush()]
         batch.sort(key=lambda a: (a.t_end, a.stream_id))
         for agg in batch:
             self._admit(agg, ts)
-        self._retire(ts)
+        self.model_set.retire_pass(ts)
         self._export(ts)
-
-    def _retire(self, ts: int) -> None:
-        for model in self.model_set.retire_pass(ts):
-            self.retired_log.append({
-                "model_id": model.model_id,
-                "retired_at": iso_ts(ts),
-                "effective_evidence": round9(model.evidence),
-            })
 
     def _export(self, ts: int) -> None:
         if ts == self._last_export_ts:
@@ -424,16 +399,7 @@ class Engine:
         """Flush open aggregates, run a final export, write the assignment log."""
         if self.clock is None:
             self.clock = 0  # empty input still produces a (zero-model) export
-        batch: List[Aggregate] = []
-        for state in self.tracker.states.values():
-            if state.handle is not None:
-                for actions in state.handle.flush():
-                    batch.append(self._build(actions))
-        batch.sort(key=lambda a: (a.t_end, a.stream_id))
-        for agg in batch:
-            self._admit(agg, self.clock)
-        self._retire(self.clock)
-        self._export(self.clock)
+        self._drain(self.tracker.states.values(), self.clock)
         rows: List[Tuple[int, int]] = []
         for seqs, model_id in self.assignments:
             final_id = self.model_set.resolve(model_id)
@@ -498,20 +464,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         entries = parse_config_file(args.config) if args.config else {}
-        overrides = {
-            "source": args.source,
-            "gamma": args.gamma,
-            "tau": args.tau,
-            "segmenter": args.segmenter,
-            "window": args.window,
-            "weights": args.weights,
-            "export_interval": args.export_interval,
-            "export_dir": args.export_dir,
-            "ais_map": args.ais_map,
-            "port_table": args.port_table,
-            "homenet": args.homenet,
-        }
-        entries.update({k: v for k, v in overrides.items() if v is not None})
+        # every flag's dest is its config key
+        entries.update({k: v for k, v in vars(args).items()
+                        if k != "config" and v is not None})
         config = build_config(entries)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

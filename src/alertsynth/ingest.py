@@ -3,7 +3,8 @@
 Input is JSON-lines with Suricata-EVE style field names.  A key-alias map
 in the run config adapts other IDS exports that use flat, differently
 named fields.  Records missing a timestamp or either endpoint address are
-counted and skipped, never fatal.
+counted and skipped, never fatal; addresses must be IPv4/IPv6 literals
+given as JSON strings and are kept in canonical text form.
 """
 
 import calendar
@@ -132,13 +133,13 @@ def parse_alert_line(line: str, seq: int,
     endpoints = []
     for name in ("src_ip", "dest_ip"):
         raw = get(name)
-        if raw is None:
-            raise MissingField(name)
+        if not isinstance(raw, str):
+            raise MissingField(name)  # absent, or a JSON number or bool
         try:
-            ip_address(raw)
+            # canonical text, so 2001:DB8::1 and 2001:db8::1 are one stream
+            endpoints.append(str(ip_address(raw)))
         except ValueError:
             raise MissingField(name)  # host names are not accepted here
-        endpoints.append(raw)
 
     proto = str(get("proto") or "").lower()
     if proto not in _PROTOCOLS:

@@ -116,12 +116,16 @@ def admission_bound(weights: WeightConfig, cardinalities: Sequence[int],
                zip(weights.vector, cardinalities)) - math.log(gamma)
 
 
+def decay_factor(since: int, now: int, window: float) -> float:
+    """Evidence multiplier from time since to now (half-life window / 2)."""
+    return 0.5 ** ((now - since) / 1e6 / (window / 2.0))
+
+
 def decay(model: AttackModel, now: int, window: float) -> AttackModel:
     """Exponential decay of all counts and evidence to time now, in place."""
-    dt = (now - model.last_decay_ts) / 1e6
-    assert dt >= 0, "decay clock moved backwards"
-    if dt > 0:
-        f = 0.5 ** (dt / (window / 2.0))
+    assert now >= model.last_decay_ts, "decay clock moved backwards"
+    if now > model.last_decay_ts:
+        f = decay_factor(model.last_decay_ts, now, window)
         for c in model.counts:
             c *= f
         model.evidence *= f
@@ -131,8 +135,7 @@ def decay(model: AttackModel, now: int, window: float) -> AttackModel:
 
 def effective_evidence(model: AttackModel, now: int, window: float) -> float:
     """Evidence projected to time now without touching the model."""
-    dt = (now - model.last_decay_ts) / 1e6
-    return model.evidence * 0.5 ** (dt / (window / 2.0))
+    return model.evidence * decay_factor(model.last_decay_ts, now, window)
 
 
 def update_model(model: AttackModel, agg: Aggregate, now: int,
@@ -167,9 +170,13 @@ class Admission:
 class ModelSet:
     """The evolving model collection; single writer, snapshot readers.
 
-    Pairwise JSDs and smoothed log-pmfs are cached as stacked matrices and
-    refreshed incrementally; pure decay rescales every count vector by one
-    shared factor and leaves all normalized pmfs (hence all caches) intact.
+    The only cache is the per-component stack of smoothed pmfs (and their
+    logs), rebuilt when a model's counts change; pure decay rescales every
+    count vector by one shared factor and leaves it intact.  Merging keeps
+    no pairwise matrix: a finished merge pass leaves no pair under the
+    merge threshold, and decay and retirement move no pmf, so after an
+    admission only pairs involving the touched model need checking, and
+    after a merge only pairs involving the keeper.
     """
 
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
@@ -190,8 +197,6 @@ class ModelSet:
         self._stack_key: List[Tuple[int, int]] = []
         self._smoothed: List[np.ndarray] = []
         self._logq: List[np.ndarray] = []
-        self._jsd_key: List[Tuple[int, int]] = []
-        self._jsd = np.zeros((0, 0))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -202,12 +207,8 @@ class ModelSet:
         assert now >= self._clock, "admission clock moved backwards"
         if now == self._clock:
             return
-        f = 0.5 ** ((now - self._clock) / 1e6 / (self.config.ewma_window / 2.0))
         for m in self.models:
-            for c in m.counts:
-                c *= f
-            m.evidence *= f
-            m.last_decay_ts = now
+            decay(m, now, self.config.ewma_window)
         self._clock = now
 
     def best_model(self, agg: Aggregate) -> Optional[Tuple[AttackModel, float]]:
@@ -243,22 +244,32 @@ class ModelSet:
             self.created_total += 1
             self.models.append(model)
             action = "create"
-        merges = self.merge_pass()
+        merges = self.merge_pass(model)
         return Admission(model_id=model.model_id, action=action,
                          h_star=h_star, merges=merges)
 
-    def merge_pass(self) -> List[Tuple[int, int]]:
+    def merge_pass(self, changed: Optional[AttackModel] = None
+                   ) -> List[Tuple[int, int]]:
         """Repeatedly merge the minimum-JSD pair while it is under the
-        threshold; the smaller-evidence model folds into the larger."""
+        threshold; the smaller-evidence model folds into the larger.
+
+        With changed given, only pairs involving it (then the keeper of each
+        merge) are scanned, which finds the same pairs as a full scan when
+        no other pair is under the threshold.  Ties go to the lowest
+        (i < j) pair."""
         merges: List[Tuple[int, int]] = []
         while len(self.models) >= 2:
             self._refresh_stacks()
-            self._refresh_jsd()
-            m = len(self.models)
-            masked = self._jsd + np.diag(np.full(m, np.inf))
-            flat = int(np.argmin(masked))
-            i, j = divmod(flat, m)
-            if not masked[i, j] < self.config.merge_threshold:
+            rows = (range(len(self.models)) if changed is None
+                    else [self.models.index(changed)])
+            best = (np.inf, 0, 0)
+            for k in rows:
+                row = self._jsd_row(k)
+                row[k] = np.inf
+                j = int(np.argmin(row))
+                best = min(best, (float(row[j]), min(j, k), max(j, k)))
+            dist, i, j = best
+            if not dist < self.config.merge_threshold:
                 break
             a, b = self.models[i], self.models[j]
             # keep the larger-evidence model's id; ties keep the lower id
@@ -273,6 +284,8 @@ class ModelSet:
             self.models.remove(loser)
             self.merged_total += 1
             merges.append((loser.model_id, keeper.model_id))
+            if changed is not None:
+                changed = keeper
         return merges
 
     def retire_pass(self, now: int) -> List[AttackModel]:
@@ -339,26 +352,6 @@ class ModelSet:
             self._logq.append(np.log(stack))
         self._stack_key = key
 
-    def _refresh_jsd(self) -> None:
-        key = self._stack_key
-        if key == self._jsd_key:
-            return
-        m = len(self.models)
-        old_pos = {iv: idx for idx, iv in enumerate(self._jsd_key)}
-        fresh = np.zeros((m, m))
-        pos = np.array([old_pos.get(iv, -1) for iv in key], dtype=int)
-        kept = np.nonzero(pos >= 0)[0]
-        if kept.size:
-            fresh[np.ix_(kept, kept)] = self._jsd[np.ix_(pos[kept], pos[kept])]
-        for k in range(m):
-            if pos[k] < 0:
-                row = self._jsd_row(k)
-                fresh[k, :] = row
-                fresh[:, k] = row
-                fresh[k, k] = 0.0
-        self._jsd = fresh
-        self._jsd_key = list(key)
-
     def _jsd_row(self, k: int) -> np.ndarray:
         total = np.zeros(len(self.models))
         for i, w in enumerate(self._weights):
@@ -372,7 +365,7 @@ class ModelSet:
         return total
 
     def pairwise_jsd(self) -> np.ndarray:
-        """Current pairwise JSD matrix (copy), for inspection and tests."""
+        """Current pairwise JSD matrix, for inspection and tests."""
         self._refresh_stacks()
-        self._refresh_jsd()
-        return self._jsd.copy()
+        m = len(self.models)
+        return np.array([self._jsd_row(k) for k in range(m)]).reshape(m, m)

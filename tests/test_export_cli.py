@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from alertsynth import export_cli
 from alertsynth.action_space import ConfigError
 from alertsynth.export_cli import (Engine, RunConfig, build_config, compact_ts,
                                    export_evidence_series, export_payload,
@@ -329,6 +330,19 @@ class TestEngine:
         assert len(first_batch[0]) == 5
         assert engine.aggregates_total == 2
 
+    def test_numeric_address_rejected_and_ipv6_spellings_share_a_stream(
+            self, tmp_path, capsys):
+        lines = [eve_line(0.0),
+                 eve_line(0.0, src=3405803786),
+                 eve_line(0.0, src="2001:DB8::1"),
+                 eve_line(1.0, src="2001:db8::1")]
+        alerts = write_alerts(tmp_path / "a.json", lines)
+        assert run(self.config(tmp_path, alerts)) == 0
+        assert "rejected=1" in capsys.readouterr().out
+        engine = run_engine(self.config(tmp_path, alerts))
+        assert engine.stats.rejected == 1
+        assert set(engine.tracker.states) == {"198.51.100.9", "2001:db8::1"}
+
     def test_wall_time_mode_runs(self, tmp_path):
         lines = [eve_line(i * 1.0) for i in range(20)]
         alerts = write_alerts(tmp_path / "a.json", lines)
@@ -362,6 +376,35 @@ class TestMain:
         assert main(["--config", str(conf), "--gamma", "0"]) == 2
         assert "config error" in capsys.readouterr().err
         assert main(["--config", str(conf), "--gamma", "1/2"]) == 0
+
+    def test_every_flag_reaches_its_field(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(export_cli, "run", lambda cfg: seen.append(cfg) or 0)
+        argv = ["--source", "file:/data/a.json:4",
+                "--gamma", "1/2",
+                "--tau", "90s",
+                "--segmenter", "gaussian",
+                "--window", "2h",
+                "--weights", "1,1,1,1",
+                "--export-interval", "15m",
+                "--export-dir", str(tmp_path / "x"),
+                "--ais-map", "/maps/ais.csv",
+                "--port-table", "/maps/ports.csv",
+                "--homenet", "/maps/homenet.txt"]
+        assert main(argv) == 0
+        cfg, = seen
+        assert cfg.source == SourceSpec(kind="file-replay",
+                                        target="/data/a.json", speedup=4.0)
+        assert cfg.gamma == 0.5
+        assert cfg.tau == 90.0
+        assert cfg.segmenter == "gaussian"
+        assert cfg.window == 7200.0
+        assert cfg.weights.vector == pytest.approx((0.25,) * 4)
+        assert cfg.export_interval == 900.0
+        assert cfg.export_dir == str(tmp_path / "x")
+        assert cfg.ais_map == "/maps/ais.csv"
+        assert cfg.port_table == "/maps/ports.csv"
+        assert cfg.homenet == "/maps/homenet.txt"
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -88,6 +88,29 @@ class TestParseAlertLine:
         with pytest.raises(MissingField):
             parse_alert_line(json.dumps(rec), 0)
 
+    @pytest.mark.parametrize("value", [3405803786, True, 1.5, ["10.0.0.1"],
+                                       {"ip": "10.0.0.1"}])
+    def test_non_string_address_rejected(self, value):
+        for name in ("src_ip", "dest_ip"):
+            rec = json.loads(GOOD)
+            rec[name] = value
+            with pytest.raises(MissingField):
+                parse_alert_line(json.dumps(rec), 0)
+
+    @pytest.mark.parametrize("raw,canonical", [
+        ("2001:DB8::1", "2001:db8::1"),
+        ("2001:db8:0:0:0:0:0:1", "2001:db8::1"),
+        ("2001:0db8::0001", "2001:db8::1"),
+        ("10.0.0.5", "10.0.0.5"),
+    ])
+    def test_address_is_canonicalized(self, raw, canonical):
+        rec = json.loads(GOOD)
+        rec["src_ip"] = raw
+        rec["dest_ip"] = raw
+        a = parse_alert_line(json.dumps(rec), 0)
+        assert a.src_ip == canonical
+        assert a.dst_ip == canonical
+
     def test_port_fallbacks(self):
         rec = json.loads(GOOD)
         del rec["src_port"]

@@ -512,6 +512,49 @@ class TestRouteEquivalence:
                 assert matrix[i, j] == pytest.approx(expect, abs=1e-9)
 
 
+class FullScanSet(ModelSet):
+    """Reference twin: every merge pass scans every pair."""
+
+    def merge_pass(self, changed=None):
+        return super().merge_pass()
+
+
+class TestMergeScanEquivalence:
+    """Scanning only the changed model's row finds the same merges as a
+    full scan, because a finished pass leaves no pair under threshold."""
+
+    def test_changed_row_scan_matches_full_scan(self):
+        merged = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            cfg = dict(merge_threshold=0.3, ewma_window=3600.0)
+            fast = fresh_set(**cfg)
+            slow = FullScanSet(SynthConfig(**cfg), CARDS, VOCABS)
+            w, eps = fast.config.weights, fast.config.smoothing_eps
+            now = 0
+            for _ in range(40):
+                n = rng.randint(1, 12)
+                base = rng.randrange(12)
+                agg = make_agg([(base + rng.randrange(3)) % 12 for _ in range(n)],
+                               [rng.randrange(4) for _ in range(n)],
+                               [rng.randrange(3) for _ in range(n)],
+                               [rng.randrange(3) for _ in range(n)],
+                               ts=now / 1e6)
+                a, b = fast.observe(agg, now), slow.observe(agg, now)
+                assert (a.model_id, a.action, a.h_star, a.merges) == \
+                    (b.model_id, b.action, b.h_star, b.merges)
+                assert fast.genealogy == slow.genealogy
+                if rng.random() < 0.2:
+                    gone = [m.model_id for m in fast.retire_pass(now)]
+                    assert gone == [m.model_id for m in slow.retire_pass(now)]
+                for i, qi in enumerate(fast.models):
+                    for qj in fast.models[i + 1:]:
+                        assert jsd(qi, qj, w, eps) >= fast.config.merge_threshold
+                now += rng.randint(0, int(1200 * 1e6))
+            merged += fast.merged_total
+        assert merged >= 20
+
+
 class TestCharacteristics:
     def small_set(self, service_counts_by_model):
         cfg = SynthConfig()
