@@ -10,7 +10,6 @@ fields onto them.
 import ipaddress
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -129,15 +128,10 @@ class Homenet:
                 self._v6.append(masked)
 
     def contains(self, ip: str) -> bool:
-        version, value = _ip_key(ip)
-        ranges = self._v4 if version == 4 else self._v6
+        addr = ipaddress.ip_address(ip)
+        value = int(addr)
+        ranges = self._v4 if addr.version == 4 else self._v6
         return any(value & mask == base for base, mask in ranges)
-
-
-@lru_cache(maxsize=1 << 20)
-def _ip_key(ip: str) -> Tuple[int, int]:
-    addr = ipaddress.ip_address(ip)
-    return addr.version, int(addr)
 
 
 class MappingTables:

@@ -13,26 +13,19 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .action_space import Action, ConfigError
+from .action_space import COMPONENTS, Action, ConfigError
 
 
 @dataclass
 class Aggregate:
     """A temporally contiguous batch of actions from one stream."""
 
-    actions: List[Action]
+    raw_seqs: List[int]          # of the actions, in arrival order
     pmfs: List[np.ndarray]       # one vector per component, each sums to 1
     n: int
     t_start: int
     t_end: int
     stream_id: str
-
-    @property
-    def raw_seqs(self) -> List[int]:
-        return [a.raw_seq for a in self.actions]
-
-
-_FIELDS = ("ais", "service", "maneuver", "timebin")
 
 
 def build_aggregate(actions: Sequence[Action],
@@ -41,11 +34,11 @@ def build_aggregate(actions: Sequence[Action],
     assert len(actions) > 0, "aggregate needs at least one action"
     n = len(actions)
     pmfs = []
-    for name, card in zip(_FIELDS, cardinalities):
+    for name, card in zip(COMPONENTS, cardinalities):
         values = [getattr(a, name) for a in actions]
         pmfs.append(np.bincount(values, minlength=card) / n)
     ts = [a.ts for a in actions]
-    return Aggregate(actions=list(actions), pmfs=pmfs, n=n,
+    return Aggregate(raw_seqs=[a.raw_seq for a in actions], pmfs=pmfs, n=n,
                      t_start=min(ts), t_end=max(ts),
                      stream_id=actions[0].stream_id)
 
@@ -175,11 +168,7 @@ class ControlChartSegmenter:
     def __init__(self, window_n: int, ks_alpha: float) -> None:
         self.window_n = window_n
         self.ks_alpha = ks_alpha
-        self._buffer: List[Action] = []
-        self._gaps: List[float] = []
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self._reset([])
 
     def feed(self, action: Action, gap: Optional[float]) -> List[List[Action]]:
         if not self._buffer:
@@ -195,7 +184,7 @@ class ControlChartSegmenter:
                 d = ks_statistic(recent, earlier)
                 if d > ks_critical(self.ks_alpha, len(recent), len(earlier)):
                     closed = self._buffer
-                    self._reset(action)
+                    self._reset([action])
                     return [closed]
         self._buffer.append(action)
         self._gaps.append(g)
@@ -211,20 +200,16 @@ class ControlChartSegmenter:
         sd = math.sqrt(self._m2 / (self._n - 1)) if self._n >= 2 else 0.0
         return lg > self._mean + 3.0 * sd
 
-    def _reset(self, action: Action) -> None:
-        self._buffer = [action]
-        self._gaps = []
+    def _reset(self, buffer: List[Action]) -> None:
+        self._buffer = buffer
+        self._gaps: List[float] = []
         self._n = 0
         self._mean = 0.0
         self._m2 = 0.0
 
     def flush(self) -> List[List[Action]]:
         out = [self._buffer] if self._buffer else []
-        self._buffer = []
-        self._gaps = []
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self._reset([])
         return out
 
 

@@ -20,9 +20,9 @@ from datetime import datetime, timezone
 from importlib.resources import files as pkg_files
 from typing import Dict, List, Optional, Tuple
 
-from .action_space import (Action, ConfigError, MappingTables, WeightConfig,
-                           bin_elapsed_index, load_mappings, map_ais_index,
-                           map_service_index, maneuver_index)
+from .action_space import (COMPONENTS, Action, ConfigError, MappingTables,
+                           WeightConfig, bin_elapsed_index, load_mappings,
+                           map_ais_index, map_service_index, maneuver_index)
 from .aggregation import Aggregate, build_aggregate, make_segmenter
 from .ingest import Alert, IngestStats, SourceError, SourceSpec, open_source
 from .stream_tracker import StreamTracker
@@ -254,11 +254,10 @@ def round9(x: float) -> float:
 def export_payload(model_set: ModelSet, now: int) -> dict:
     """Snapshot of the live models as a JSON-ready dict."""
     feats = model_set.characteristic_features()
-    component_names = ("ais", "service", "maneuver", "timebin")
     models = []
     for m in model_set.models:
         pmfs = {}
-        for i, name in enumerate(component_names):
+        for i, name in enumerate(COMPONENTS):
             vec = m.pmf(i)
             vocab = model_set.vocabularies[i]
             pmfs[name] = {vocab[x]: round9(float(vec[x]))
@@ -278,12 +277,14 @@ def render_export(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def export_evidence_series(history: List[Tuple[int, int, float]]) -> str:
-    """Long-format CSV: export_ts, model_id, effective_evidence."""
-    lines = ["export_ts,model_id,effective_evidence"]
-    for ts, model_id, evidence in history:
-        lines.append(f"{iso_ts(ts)},{model_id},{evidence:.9g}")
-    return "\n".join(lines) + "\n"
+EVIDENCE_HEADER = "export_ts,model_id,effective_evidence\n"
+
+
+def export_evidence_series(rows: List[Tuple[int, int, float]]) -> str:
+    """One export's evidence.csv rows (export_ts, model_id,
+    effective_evidence), appended below EVIDENCE_HEADER."""
+    return "".join(f"{iso_ts(ts)},{model_id},{evidence:.9g}\n"
+                   for ts, model_id, evidence in rows)
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -307,13 +308,15 @@ class Engine:
         self.aggregates_total = 0
         self.exports_total = 0
         self.merge_counts: List[int] = []
-        self.evidence_history: List[Tuple[int, int, float]] = []
         self.assignments: List[Tuple[List[int], int]] = []
         self._interval_us = int(config.export_interval * 1e6)
         self._next_boundary: Optional[int] = None
         self._next_wall: Optional[float] = None
         self._last_export_ts: Optional[int] = None
         os.makedirs(config.export_dir, exist_ok=True)
+        self._evidence_path = os.path.join(config.export_dir, "evidence.csv")
+        with open(self._evidence_path, "w", encoding="utf-8") as fh:
+            fh.write(EVIDENCE_HEADER)
 
     # clock and boundaries
 
@@ -388,11 +391,9 @@ class Engine:
         with open(os.path.join(self.config.export_dir, name), "w",
                   encoding="utf-8") as fh:
             fh.write(render_export(payload))
-        for m in self.model_set.models:
-            self.evidence_history.append((ts, m.model_id, m.evidence))
-        with open(os.path.join(self.config.export_dir, "evidence.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(export_evidence_series(self.evidence_history))
+        with open(self._evidence_path, "a", encoding="utf-8") as fh:
+            fh.write(export_evidence_series(
+                [(ts, m.model_id, m.evidence) for m in self.model_set.models]))
         self.exports_total += 1
 
     def shutdown(self) -> None:

@@ -77,9 +77,13 @@ def parse_timestamp(value) -> int:
     """Timestamp value to integer microseconds since epoch (UTC).
 
     Accepts ISO-8601 strings (with Z, +HH:MM, or +HHMM offsets; naive means
-    UTC) and numeric epoch seconds.
+    UTC) and numeric epoch seconds; NaN, infinities and epochs outside
+    years 1..9999 raise ValueError.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # years 1..9999 UTC, a second in from each end; false for NaN too
+        if not -62135596799 <= value < 253402300799:
+            raise ValueError(f"timestamp {value!r} out of range")
         return round(float(value) * 1_000_000)
     if not isinstance(value, str):
         raise ValueError(f"unsupported timestamp {value!r}")
@@ -89,8 +93,12 @@ def parse_timestamp(value) -> int:
     elif len(text) >= 5 and text[-5] in "+-" and text[-4:].isdigit():
         text = text[:-4] + text[-4:-2] + ":" + text[-2:]
     dt = datetime.fromisoformat(text)
+    try:
+        utc = dt.utctimetuple()
+    except OverflowError:  # the offset moves it out of years 1..9999
+        raise ValueError(f"timestamp {value!r} out of range")
     # integer arithmetic end to end so microseconds survive exactly
-    return calendar.timegm(dt.utctimetuple()) * 1_000_000 + dt.microsecond
+    return calendar.timegm(utc) * 1_000_000 + dt.microsecond
 
 
 def _port(value) -> Optional[int]:

@@ -27,13 +27,16 @@ class StreamState:
     handle: object = None        # open segmenter, owned by the pipeline
 
 
-def classify_direction(alert: Alert, homenet: Homenet) -> str:
-    """inbound | outbound | internal; external-to-external counts as inbound."""
-    src_in = homenet.contains(alert.src_ip)
-    dst_in = homenet.contains(alert.dst_ip)
+def _direction(src_in: bool, dst_in: bool) -> str:
     if src_in:
         return "internal" if dst_in else "outbound"
     return "inbound"
+
+
+def classify_direction(alert: Alert, homenet: Homenet) -> str:
+    """inbound | outbound | internal; external-to-external counts as inbound."""
+    return _direction(homenet.contains(alert.src_ip),
+                      homenet.contains(alert.dst_ip))
 
 
 class StreamTracker:
@@ -53,7 +56,9 @@ class StreamTracker:
 
         elapsed_us is None exactly when the alert starts a new stream.
         """
-        direction = classify_direction(alert, self.homenet)
+        src_in = self.homenet.contains(alert.src_ip)
+        dst_in = self.homenet.contains(alert.dst_ip)
+        direction = _direction(src_in, dst_in)
         if direction == "internal":
             state = self._find_pivot_stream(alert.src_ip, alert.ts)
             if state is None:
@@ -72,8 +77,8 @@ class StreamTracker:
             else:
                 transition = self._transition(state, alert)
                 elapsed = max(0, alert.ts - state.last_ts)
-            internal_end = alert.dst_ip if direction == "inbound" else alert.src_ip
-            if self.homenet.contains(internal_end):
+            if src_in or dst_in:  # outbound, or inbound to the homenet
+                internal_end = alert.dst_ip if direction == "inbound" else alert.src_ip
                 self._touch(state, alert.ts, internal_end)
 
         state.last_ts = max(state.last_ts, alert.ts)
@@ -109,9 +114,8 @@ class StreamTracker:
         return state
 
     def _touch(self, state: StreamState, ts: int, *ips: str) -> None:
+        """Stamp internal addresses as touched by state's stream."""
         for ip in ips:
-            if not self.homenet.contains(ip):
-                continue
             prev = state.touched_internal_hosts.get(ip, 0)
             stamp = max(prev, ts)
             state.touched_internal_hosts[ip] = stamp

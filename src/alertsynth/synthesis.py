@@ -9,7 +9,8 @@ Jensen-Shannon divergence; starved models are retired.
 
 Distances are defined on per-component marginal pmfs and combined as a
 weighted sum, so every divergence here reduces to its single-component
-textbook form when one weight is 1.
+textbook form when one weight is 1.  Those forms take raw pmfs; the weighted
+distances of ModelSet, jsd and model_distance share one row kernel.
 """
 
 import math
@@ -53,13 +54,14 @@ class AttackModel:
 
 
 def smoothed_pmf(counts: np.ndarray, eps: float) -> np.ndarray:
-    """Normalize counts, floor zero cells at eps, renormalize."""
+    """Normalize counts along the last axis, floor zero cells at eps,
+    renormalize; a stack of count vectors is smoothed row by row."""
     counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    assert total > 0, "smoothed_pmf needs a nonzero vector"
+    total = counts.sum(axis=-1, keepdims=True)
+    assert (total > 0).all(), "smoothed_pmf needs a nonzero vector"
     p = counts / total
     p[p == 0] = eps
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -86,23 +88,44 @@ def jsd_component(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * kl_divergence(p, avg) + 0.5 * kl_divergence(q, avg)
 
 
+def smoothed_rows(models: Sequence[AttackModel], eps: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """One row per model holding its smoothed component pmfs side by side
+    (component i in the columns of its vocabulary), and the row logs."""
+    smoothed = np.hstack([smoothed_pmf(np.stack(stack), eps)
+                          for stack in zip(*(m.counts for m in models))])
+    return smoothed, np.log(smoothed)
+
+
+def cross_entropy_rows(logq: np.ndarray, wcol: np.ndarray,
+                       pmfs: Sequence[np.ndarray]) -> np.ndarray:
+    """Weighted cross-entropy of the aggregate pmfs against every row; wcol
+    repeats each component's weight over that component's columns."""
+    return -(logq @ (wcol * np.concatenate(pmfs)))
+
+
+def jsd_rows(smoothed: np.ndarray, logq: np.ndarray, wcol: np.ndarray,
+             k: int) -> np.ndarray:
+    """Weighted JSD between row k and every row (exactly 0 at k)."""
+    p, logp = smoothed[k], logq[k]
+    log_avg = np.log(0.5 * (smoothed + p))
+    return 0.5 * (((logp - log_avg) * p + smoothed * (logq - log_avg)) @ wcol)
+
+
 def jsd(qi: AttackModel, qj: AttackModel, weights: WeightConfig,
         eps: float) -> float:
     """Weighted sum of per-component JSDs between two models' smoothed pmfs."""
-    total = 0.0
-    for i, w in enumerate(weights.vector):
-        total += w * jsd_component(smoothed_pmf(qi.counts[i], eps),
-                                   smoothed_pmf(qj.counts[i], eps))
-    return total
+    smoothed, logq = smoothed_rows([qi, qj], eps)
+    wcol = np.repeat(weights.vector, [len(c) for c in qi.counts])
+    return float(jsd_rows(smoothed, logq, wcol, 0)[1])
 
 
 def model_distance(agg: Aggregate, model: AttackModel, weights: WeightConfig,
                    eps: float) -> float:
     """Weighted cross-entropy between aggregate pmfs and smoothed model pmfs."""
-    total = 0.0
-    for i, w in enumerate(weights.vector):
-        total += w * cross_entropy(agg.pmfs[i], smoothed_pmf(model.counts[i], eps))
-    return total
+    _, logq = smoothed_rows([model], eps)
+    wcol = np.repeat(weights.vector, [len(c) for c in model.counts])
+    return float(cross_entropy_rows(logq, wcol, agg.pmfs)[0])
 
 
 def admission_bound(weights: WeightConfig, cardinalities: Sequence[int],
@@ -170,13 +193,17 @@ class Admission:
 class ModelSet:
     """The evolving model collection; single writer, snapshot readers.
 
-    The only cache is the per-component stack of smoothed pmfs (and their
-    logs), rebuilt when a model's counts change; pure decay rescales every
-    count vector by one shared factor and leaves it intact.  Merging keeps
-    no pairwise matrix: a finished merge pass leaves no pair under the
-    merge threshold, and decay and retirement move no pmf, so after an
-    admission only pairs involving the touched model need checking, and
-    after a merge only pairs involving the keeper.
+    Distances run on one row per live model, in list order: its four
+    smoothed component pmfs side by side (88 columns with the packaged
+    tables), and a second matrix of their logs, so scoring is one matvec
+    and a merge scan one JSD row, with no loop over components.  The two
+    matrices are the only cache, keyed on every live model's (model_id,
+    version) and rebuilt when a model's counts change; pure decay rescales
+    every count vector by one shared factor and leaves them intact.
+    Merging keeps no pairwise matrix: a finished merge pass leaves no pair
+    under the merge threshold, and decay and retirement move no pmf, so
+    after an admission only pairs involving the touched model need
+    checking, and after a merge only pairs involving the keeper.
     """
 
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
@@ -193,10 +220,11 @@ class ModelSet:
                                      config.gamma)
         self._next_id = 0
         self._clock: Optional[int] = None
-        self._weights = np.array(config.weights.vector)
-        self._stack_key: List[Tuple[int, int]] = []
-        self._smoothed: List[np.ndarray] = []
-        self._logq: List[np.ndarray] = []
+        # each component's weight repeated over its vocabulary's columns
+        self._wcol = np.repeat(config.weights.vector, self.cardinalities)
+        self._rows_key: List[Tuple[int, int]] = []
+        self._smoothed = np.empty((0, 0))
+        self._logq = np.empty((0, 0))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -216,10 +244,8 @@ class ModelSet:
         broken toward the lowest model id."""
         if not self.models:
             return None
-        self._refresh_stacks()
-        dist = np.zeros(len(self.models))
-        for i, w in enumerate(self._weights):
-            dist -= w * (self._logq[i] @ agg.pmfs[i])
+        self._refresh_rows()
+        dist = cross_entropy_rows(self._logq, self._wcol, agg.pmfs)
         k = int(np.argmin(dist))  # first hit = lowest id; list is id-sorted
         return self.models[k], float(dist[k])
 
@@ -259,12 +285,12 @@ class ModelSet:
         (i < j) pair."""
         merges: List[Tuple[int, int]] = []
         while len(self.models) >= 2:
-            self._refresh_stacks()
+            self._refresh_rows()
             rows = (range(len(self.models)) if changed is None
                     else [self.models.index(changed)])
             best = (np.inf, 0, 0)
             for k in rows:
-                row = self._jsd_row(k)
+                row = jsd_rows(self._smoothed, self._logq, self._wcol, k)
                 row[k] = np.inf
                 j = int(np.argmin(row))
                 best = min(best, (float(row[j]), min(j, k), max(j, k)))
@@ -316,8 +342,9 @@ class ModelSet:
         out: Dict[int, Dict[str, str]] = {}
         if not self.models:
             return out
-        self._refresh_stacks()
+        self._refresh_rows()
         single = len(self.models) == 1
+        edges = np.cumsum((0,) + self.cardinalities)
         for k, model in enumerate(self.models):
             feats: Dict[str, str] = {}
             for i, name in enumerate(COMPONENTS):
@@ -325,7 +352,8 @@ class ModelSet:
                 if single:
                     score = own
                 else:
-                    others = np.delete(self._smoothed[i], k, axis=0).max(axis=0)
+                    columns = self._smoothed[:, edges[i]:edges[i + 1]]
+                    others = np.delete(columns, k, axis=0).max(axis=0)
                     score = own * -np.log(others)
                 best = score.max()
                 labels = [self.vocabularies[i][x]
@@ -336,36 +364,16 @@ class ModelSet:
 
     # -- caches -------------------------------------------------------------
 
-    def _refresh_stacks(self) -> None:
+    def _refresh_rows(self) -> None:
         key = [(m.model_id, m.version) for m in self.models]
-        if key == self._stack_key:
-            return
-        eps = self.config.smoothing_eps
-        self._smoothed = []
-        self._logq = []
-        for i, card in enumerate(self.cardinalities):
-            stack = np.stack([m.counts[i] for m in self.models])
-            stack = stack / stack.sum(axis=1, keepdims=True)
-            stack[stack == 0] = eps
-            stack /= stack.sum(axis=1, keepdims=True)
-            self._smoothed.append(stack)
-            self._logq.append(np.log(stack))
-        self._stack_key = key
-
-    def _jsd_row(self, k: int) -> np.ndarray:
-        total = np.zeros(len(self.models))
-        for i, w in enumerate(self._weights):
-            stack = self._smoothed[i]
-            p = stack[k]
-            log_avg = np.log(0.5 * (stack + p))
-            kl_p = ((self._logq[i][k] - log_avg) * p).sum(axis=1)
-            kl_q = (stack * (self._logq[i] - log_avg)).sum(axis=1)
-            total += w * 0.5 * (kl_p + kl_q)
-        total[k] = 0.0
-        return total
+        if key != self._rows_key:
+            self._smoothed, self._logq = smoothed_rows(
+                self.models, self.config.smoothing_eps)
+            self._rows_key = key
 
     def pairwise_jsd(self) -> np.ndarray:
         """Current pairwise JSD matrix, for inspection and tests."""
-        self._refresh_stacks()
+        self._refresh_rows()
         m = len(self.models)
-        return np.array([self._jsd_row(k) for k in range(m)]).reshape(m, m)
+        return np.array([jsd_rows(self._smoothed, self._logq, self._wcol, k)
+                         for k in range(m)]).reshape(m, m)

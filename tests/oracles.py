@@ -54,6 +54,23 @@ def jsd_component_ref(p: Sequence[float], q: Sequence[float]) -> float:
     return 0.5 * kl_ref(p, avg) + 0.5 * kl_ref(q, avg)
 
 
+def model_distance_ref(pmfs: Sequence[Sequence[float]],
+                       counts: Sequence[Sequence[float]],
+                       weights: Sequence[float], eps: float) -> float:
+    """Weighted cross-entropy of aggregate pmfs against a model's smoothed
+    per-component counts, one component at a time."""
+    return sum(w * cross_entropy_ref(p, smoothed_ref(c, eps))
+               for w, p, c in zip(weights, pmfs, counts))
+
+
+def model_jsd_ref(counts_a: Sequence[Sequence[float]],
+                  counts_b: Sequence[Sequence[float]],
+                  weights: Sequence[float], eps: float) -> float:
+    """Weighted JSD of two models' smoothed per-component counts."""
+    return sum(w * jsd_component_ref(smoothed_ref(a, eps), smoothed_ref(b, eps))
+               for w, a, b in zip(weights, counts_a, counts_b))
+
+
 def decay_ref(value: float, dt_seconds: float, window_seconds: float) -> float:
     """Exponential decay with half-life = window / 2."""
     return value * 2.0 ** (-dt_seconds / (window_seconds / 2.0))

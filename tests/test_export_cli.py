@@ -8,7 +8,8 @@ import pytest
 
 from alertsynth import export_cli
 from alertsynth.action_space import ConfigError
-from alertsynth.export_cli import (Engine, RunConfig, build_config, compact_ts,
+from alertsynth.export_cli import (EVIDENCE_HEADER, Engine, RunConfig,
+                                   build_config, compact_ts,
                                    export_evidence_series, export_payload,
                                    iso_ts, main, parse_config_file,
                                    parse_duration, parse_ratio, parse_source,
@@ -246,17 +247,15 @@ class TestExportPayload:
 
 class TestEvidenceSeries:
     def test_format(self):
-        text = export_evidence_series([
-            (T0_US, 0, 1.5), (T0_US, 1, 2.0), (T0_US + 600_000_000, 0, 1.2)])
-        lines = text.splitlines()
-        assert lines[0] == "export_ts,model_id,effective_evidence"
-        assert lines[1] == "2025-03-02T00:00:00.000000Z,0,1.5"
-        assert lines[2] == "2025-03-02T00:00:00.000000Z,1,2"
-        assert lines[3] == "2025-03-02T00:10:00.000000Z,0,1.2"
+        text = export_evidence_series([(T0_US, 0, 1.5), (T0_US, 1, 2.0),
+                                       (T0_US, 4, 1 / 3)])
+        assert text.splitlines() == ["2025-03-02T00:00:00.000000Z,0,1.5",
+                                     "2025-03-02T00:00:00.000000Z,1,2",
+                                     "2025-03-02T00:00:00.000000Z,4,0.333333333"]
+        assert text.endswith("\n")
 
     def test_empty(self):
-        assert export_evidence_series([]) == (
-            "export_ts,model_id,effective_evidence\n")
+        assert export_evidence_series([]) == ""
 
 
 class TestEngine:
@@ -310,6 +309,29 @@ class TestEngine:
         engine._export(engine.clock)
         assert engine.exports_total == n
 
+    def test_evidence_csv_appends_each_export(self, tmp_path):
+        # the gap over tau admits the first burst before the 20-minute
+        # export, the second burst lands in the shutdown export
+        lines = [eve_line(i * 1.0) for i in range(3)]
+        lines += [eve_line(700 + i * 1.0) for i in range(3)]
+        lines.append(eve_line(1500.0, src="198.51.100.77"))
+        alerts = write_alerts(tmp_path / "a.json", lines)
+        engine = run_engine(self.config(tmp_path, alerts))
+        out = tmp_path / "out"
+        text = (out / "evidence.csv").read_text(encoding="utf-8")
+        assert text.startswith(EVIDENCE_HEADER)
+        assert text.count("export_ts") == 1
+        expected = []
+        for path in export_files(str(out)):
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            expected += [(payload["export_ts"], m["model_id"],
+                          m["effective_evidence"]) for m in payload["models"]]
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [(ts, int(mid), float(ev)) for ts, mid, ev in rows] == expected
+        assert engine.exports_total == 3
+        assert len({ts for ts, _, _ in expected}) >= 2
+
     def test_source_error_still_shuts_down(self, tmp_path, capsys):
         cfg = self.config(tmp_path, tmp_path / "missing.json")
         status = run(cfg)
@@ -342,6 +364,15 @@ class TestEngine:
         engine = run_engine(self.config(tmp_path, alerts))
         assert engine.stats.rejected == 1
         assert set(engine.tracker.states) == {"198.51.100.9", "2001:db8::1"}
+
+    def test_non_finite_timestamp_rejected(self, tmp_path, capsys):
+        record = json.loads(eve_line(1.0))
+        record["timestamp"] = math.inf
+        lines = [eve_line(0.0), json.dumps(record), eve_line(2.0)]
+        assert '"timestamp": Infinity,' in lines[1]
+        alerts = write_alerts(tmp_path / "a.json", lines)
+        assert run(self.config(tmp_path, alerts)) == 0
+        assert "rejected=1" in capsys.readouterr().out
 
     def test_wall_time_mode_runs(self, tmp_path):
         lines = [eve_line(i * 1.0) for i in range(20)]

@@ -42,6 +42,16 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp("yesterday")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan"), 1e20, -1e12, 10 ** 400,
+                                       "0001-01-01T00:00:00+01:00",
+                                       "9999-12-31T23:59:59-01:00"])
+    def test_non_finite_or_out_of_range_raises(self, value):
+        # years 1..9999 UTC only: anything else used to overflow here or in
+        # the exporter's timestamp formatting
+        with pytest.raises(ValueError):
+            parse_timestamp(value)
+
 
 class TestParseAlertLine:
     def test_good_line(self):
@@ -75,6 +85,13 @@ class TestParseAlertLine:
         rec["timestamp"] = "not a time"
         with pytest.raises(MissingField):
             parse_alert_line(json.dumps(rec), 0)
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "1e999", "NaN"])
+    def test_non_finite_timestamp_rejected(self, text):
+        line = GOOD.replace('"2025-03-02T00:00:01.234567+0000"', text)
+        assert f'"timestamp": {text},' in line
+        with pytest.raises(MissingField):
+            parse_alert_line(line, 0)
 
     def test_missing_ip(self):
         rec = json.loads(GOOD)

@@ -14,7 +14,8 @@ from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
                                   jsd_component, kl_divergence, model_distance,
                                   smoothed_pmf, update_model)
 from oracles import (admission_bound_ref, cross_entropy_ref, decay_ref,
-                     jsd_component_ref, kl_ref, smoothed_ref)
+                     jsd_component_ref, kl_ref, model_distance_ref,
+                     model_jsd_ref, smoothed_ref)
 
 CARDS = (12, 45, 21, 10)
 VOCABS = [tuple(f"v{i}" for i in range(c)) for c in CARDS]
@@ -370,11 +371,11 @@ class TestMerging:
                      create_model(close_b, 0, 2)]
         ms._next_id = 3
         matrix = ms.pairwise_jsd()
-        w, eps = ms.config.weights, ms.config.smoothing_eps
+        w, eps = ms.config.weights.vector, ms.config.smoothing_eps
         for i in range(3):
             for j in range(3):
-                expect = 0.0 if i == j else jsd(ms.models[i], ms.models[j],
-                                                w, eps)
+                expect = 0.0 if i == j else model_jsd_ref(
+                    ms.models[i].counts, ms.models[j].counts, w, eps)
                 assert matrix[i, j] == pytest.approx(expect, abs=1e-9)
         merges = ms.merge_pass()
         assert merges == [(2, 1)]
@@ -469,7 +470,8 @@ class TestDecayAll:
 
 
 class TestRouteEquivalence:
-    """Vectorized ModelSet paths agree with the scalar functions."""
+    """ModelSet's distance matrices, and the scalar functions that wrap the
+    same kernel, agree with the component-by-component oracles."""
 
     def populated(self, seed):
         rng = random.Random(seed)
@@ -487,29 +489,43 @@ class TestRouteEquivalence:
 
     def test_best_model_equals_distance_scan(self):
         ms, rng = self.populated(17)
-        w, eps = ms.config.weights, ms.config.smoothing_eps
+        w, eps = ms.config.weights.vector, ms.config.smoothing_eps
         for _ in range(20):
             n = rng.randint(1, 6)
             probe = make_agg([rng.randrange(12) for _ in range(n)],
                              [rng.randrange(45) for _ in range(n)])
             model, h = ms.best_model(probe)
-            scan = [(model_distance(probe, m, w, eps), m.model_id)
-                    for m in ms.models]
+            scan = [(model_distance_ref(probe.pmfs, m.counts, w, eps),
+                     m.model_id) for m in ms.models]
             best = min(scan)
             assert h == pytest.approx(best[0], abs=1e-9)
             assert model.model_id == best[1]
 
     def test_pairwise_jsd_equals_scalar_jsd(self):
         ms, _ = self.populated(23)
-        w, eps = ms.config.weights, ms.config.smoothing_eps
+        w, eps = ms.config.weights.vector, ms.config.smoothing_eps
         matrix = ms.pairwise_jsd()
         k = len(ms.models)
         assert matrix.shape == (k, k)
         for i in range(k):
             for j in range(k):
-                expect = 0.0 if i == j else jsd(ms.models[i], ms.models[j],
-                                                w, eps)
+                expect = 0.0 if i == j else model_jsd_ref(
+                    ms.models[i].counts, ms.models[j].counts, w, eps)
                 assert matrix[i, j] == pytest.approx(expect, abs=1e-9)
+
+    def test_scalar_wrappers_match_references(self):
+        ms, rng = self.populated(29)
+        w, eps = ms.config.weights, ms.config.smoothing_eps
+        for qi in ms.models:
+            probe = make_agg([rng.randrange(12) for _ in range(3)],
+                             [rng.randrange(45) for _ in range(3)])
+            assert model_distance(probe, qi, w, eps) == pytest.approx(
+                model_distance_ref(probe.pmfs, qi.counts, w.vector, eps),
+                abs=1e-9)
+            for qj in ms.models:
+                assert jsd(qi, qj, w, eps) == pytest.approx(
+                    model_jsd_ref(qi.counts, qj.counts, w.vector, eps),
+                    abs=1e-9)
 
 
 class FullScanSet(ModelSet):

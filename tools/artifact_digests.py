@@ -1,0 +1,86 @@
+"""SHA-256 digests of the engine's artifacts, to show that a change leaves
+behaviour byte-identical.
+
+    PYTHONPATH=src python3 tools/artifact_digests.py [ALERTS ...]
+        [--set KEY=VALUE ...] [--scenarios kerb,five,periodic,small]
+
+Runs the end-to-end scenarios of tests/conftest.py (the specs are imported
+from there; seeds and config are the fixtures'), then each alerts file given,
+through alertsynth.export_cli.run, and prints one line per run:
+
+    <name> <export directory sha256> <counters line sha256>
+
+The export digest is the benchmark's (bench/checks.py): every file name and
+byte of models-*.json, evidence.csv and assignments.csv.  The counters
+digest covers the line run() prints, newline included.  --set entries are
+config keys applied to the given alerts files; --scenarios '' skips the
+fixture scenarios.  Run it before and after a change and diff the output.
+"""
+
+import argparse
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
+
+from checks import export_digest  # noqa: E402
+from conftest import FIVE_SPECS, KERB_SPECS, PERIODIC_SPECS, SMALL_SPECS  # noqa: E402
+
+from alertsynth import generate_scenario  # noqa: E402
+from alertsynth.export_cli import build_config, run  # noqa: E402
+
+# name -> (specs, noise per hour, duration s, seed, config), as in conftest
+SCENARIOS = {
+    "kerb": (KERB_SPECS, 25000.0, 4 * 3600.0, 20250303, {}),
+    "five": (FIVE_SPECS, 25000.0, 6 * 3600.0, 7, {}),
+    "periodic": (PERIODIC_SPECS, 0.0, 11 * 86400.0, 3,
+                 {"export_interval": "1800s"}),
+    "small": (SMALL_SPECS, 600.0, 7200.0, 99, {}),
+}
+
+
+def digests(alerts, config, out_dir):
+    """(export digest, counters digest) of one run() over alerts."""
+    captured = io.StringIO()
+    with redirect_stdout(captured):
+        run(build_config({**config, "source": f"file:{alerts}",
+                          "export_dir": out_dir}))
+    counters = captured.getvalue().encode("utf-8")
+    return export_digest(out_dir), hashlib.sha256(counters).hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("alerts", nargs="*", help="alerts.jsonl files")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="config entry for the given alerts files")
+    parser.add_argument("--scenarios", default=",".join(SCENARIOS),
+                        help="comma list of fixture scenarios ('' for none)")
+    args = parser.parse_args(argv)
+    config = dict(entry.split("=", 1) for entry in args.set)
+    names = [n for n in args.scenarios.split(",") if n]
+    unknown = set(names) - set(SCENARIOS)
+    if unknown:
+        parser.error(f"unknown scenarios {sorted(unknown)}")
+    with tempfile.TemporaryDirectory() as work:
+        for name in names:
+            specs, noise, duration, seed, cfg = SCENARIOS[name]
+            base = os.path.join(work, name)
+            alerts, _ = generate_scenario(specs, noise_rate=noise,
+                                          duration=duration, seed=seed,
+                                          out_dir=base)
+            print(name, *digests(alerts, cfg, os.path.join(base, "out")),
+                  flush=True)
+        for k, path in enumerate(args.alerts):
+            print(path, *digests(path, config, os.path.join(work, f"file{k}")),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
