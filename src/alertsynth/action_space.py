@@ -9,7 +9,7 @@ fields onto them.
 
 import ipaddress
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -49,6 +49,8 @@ TRANSITIONS: Tuple[str, ...] = (
 # 3 directions x 7 transitions, fixed 21-cell vocabulary.
 MANEUVER_LABELS: Tuple[str, ...] = tuple(
     f"{d}:{t}" for d in DIRECTIONS for t in TRANSITIONS)
+_MANEUVER_INDEX: Dict[Tuple[str, str], int] = {
+    tuple(label.split(":")): i for i, label in enumerate(MANEUVER_LABELS)}
 
 # Elapsed-time bins, closed-left / open-right, plus the stream-start sentinel.
 TIME_BIN_LABELS: Tuple[str, ...] = (
@@ -66,6 +68,8 @@ TIME_BIN_LABELS: Tuple[str, ...] = (
 _BIN_EDGES: Tuple[float, ...] = (0.001, 0.1, 1.0, 10.0, 60.0, 600.0, 3600.0, 21600.0)
 
 EPHEMERAL_PORT_FLOOR = 49152
+# Service labels of ports with no table row, after the table's own labels.
+_FALLBACK_SERVICES: Tuple[str, ...] = ("ephemeral", "reserved", "other")
 
 # Component order used for every per-component vector in the package.
 COMPONENTS: Tuple[str, ...] = ("ais", "service", "maneuver", "timebin")
@@ -146,23 +150,30 @@ class MappingTables:
         self.homenet = homenet
 
         self.ais_labels: Tuple[str, ...] = tuple(ais_categories)
-        table_labels = sorted(set(port_labels.values()))
-        self.service_labels: Tuple[str, ...] = tuple(table_labels) + (
-            "ephemeral", "reserved", "other")
+        table_labels = tuple(sorted(set(port_labels.values())))
+        if set(table_labels) & set(_FALLBACK_SERVICES):
+            raise ConfigError("a port-table label repeats a fallback service name")
+        self.service_labels: Tuple[str, ...] = table_labels + _FALLBACK_SERVICES
         self.maneuver_labels = MANEUVER_LABELS
         self.timebin_labels = TIME_BIN_LABELS
 
+        # index-valued forms of the tables, read per alert by the encoders
         self._ais_index = {name: i for i, name in enumerate(self.ais_labels)}
-        self._service_index = {name: i for i, name in enumerate(self.service_labels)}
         if "Discovery" not in self._ais_index:
             raise ConfigError("intent categories must include Discovery (the default)")
         self._default_ais = self._ais_index["Discovery"]
-        self._service_cache: Dict[Tuple[Optional[int], str], int] = {}
-
-        for rules in (self.ais_by_id.values(), (a for _, a in keyword_rules)):
-            for name in rules:
-                if name not in self._ais_index:
-                    raise ConfigError(f"unknown intent category {name!r} in mapping")
+        try:
+            self._ais_by_id = {sig_id: self._ais_index[name]
+                               for sig_id, name in ais_by_id.items()}
+            self._keyword_rules = [(keyword, self._ais_index[name])
+                                   for keyword, name in keyword_rules]
+        except KeyError as exc:
+            raise ConfigError(f"unknown intent category {exc.args[0]!r} in mapping")
+        service_index = {name: i for i, name in enumerate(self.service_labels)}
+        self._port_index = {key: service_index[label]
+                            for key, label in port_labels.items()}
+        self._ephemeral, self._reserved, self._other = range(
+            len(table_labels), len(self.service_labels))
 
     @property
     def cardinalities(self) -> Tuple[int, int, int, int]:
@@ -177,16 +188,14 @@ class MappingTables:
     def ais_index(self, name: str) -> int:
         return self._ais_index[name]
 
-    def service_index(self, label: str) -> int:
-        return self._service_index[label]
-
 
 def load_mappings(ais_map_file: str, port_table_file: str, homenet_file: str,
                   ais_categories: Optional[Sequence[str]] = None) -> MappingTables:
     """Load the three mapping files into lookup tables.
 
-    Duplicate signature ids, duplicate (port, proto) rows, and unknown
-    intent-category names are all fatal config errors.
+    Duplicate signature ids, duplicate (port, proto) rows, unknown
+    intent-category names, and port-table labels that repeat a fallback
+    service name are all fatal config errors.
     """
     categories = tuple(ais_categories) if ais_categories else DEFAULT_AIS_CATEGORIES
     if len(set(categories)) != len(categories):
@@ -257,42 +266,36 @@ def _data_lines(path: str) -> List[str]:
 
 
 def map_ais(alert, tables: MappingTables) -> str:
-    """Intent category for an alert: exact id hit, keyword rule, or default."""
-    hit = tables.ais_by_id.get(alert.signature_id)
-    if hit is not None:
-        return hit
-    text = alert.signature_text.lower()
-    for keyword, ais in tables.keyword_rules:
-        if keyword in text:
-            return ais
-    return tables.ais_labels[tables._default_ais]
+    return tables.ais_labels[map_ais_index(alert, tables)]
 
 
 def map_ais_index(alert, tables: MappingTables) -> int:
-    return tables._ais_index[map_ais(alert, tables)]
+    """Intent index for an alert: exact id hit, first keyword rule in file
+    order, or Discovery."""
+    hit = tables._ais_by_id.get(alert.signature_id)
+    if hit is not None:
+        return hit
+    text = alert.signature_text.lower()
+    for keyword, index in tables._keyword_rules:
+        if keyword in text:
+            return index
+    return tables._default_ais
 
 
 def map_service(port: Optional[int], proto: str, tables: MappingTables) -> str:
-    """Service label for a (port, proto) pair; total over all inputs."""
-    if port is not None:
-        hit = tables.port_labels.get((port, proto))
-        if hit is not None:
-            return hit
-    if port is None or port == 0:
-        return "reserved"
-    if port >= EPHEMERAL_PORT_FLOOR:
-        return "ephemeral"
-    return "other"
+    return tables.service_labels[map_service_index(port, proto, tables)]
 
 
 def map_service_index(port: Optional[int], proto: str, tables: MappingTables) -> int:
-    cache = tables._service_cache
-    key = (port, proto)
-    idx = cache.get(key)
-    if idx is None:
-        idx = tables._service_index[map_service(port, proto, tables)]
-        cache[key] = idx
-    return idx
+    """Service index for a (port, proto) pair; total over all inputs."""
+    hit = tables._port_index.get((port, proto))
+    if hit is not None:
+        return hit
+    if port is None or port == 0:
+        return tables._reserved
+    if port >= EPHEMERAL_PORT_FLOOR:
+        return tables._ephemeral
+    return tables._other
 
 
 def bin_elapsed(dt: Optional[float]) -> str:
@@ -309,4 +312,4 @@ def bin_elapsed_index(dt: Optional[float]) -> int:
 
 
 def maneuver_index(direction: str, transition: str) -> int:
-    return DIRECTIONS.index(direction) * len(TRANSITIONS) + TRANSITIONS.index(transition)
+    return _MANEUVER_INDEX[direction, transition]

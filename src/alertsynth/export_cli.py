@@ -81,18 +81,14 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        self.synth  # building the SynthConfig checks its fields
         checks = [
-            (0.0 < self.gamma <= 1.0, f"gamma must be in (0, 1], got {self.gamma}"),
             (self.tau > 0, "tau must be positive"),
             (self.bin_width > 0, "bin_width must be positive"),
             (self.sigma_bins > 0, "sigma_bins must be positive"),
             (0 < self.valley_frac <= 1, "valley_frac must be in (0, 1]"),
             (self.window_n >= 2, "window_n must be at least 2"),
             (0 < self.ks_alpha < 1, "ks_alpha must be in (0, 1)"),
-            (self.window > 0, "window must be positive"),
-            (self.merge_threshold > 0, "merge_threshold must be positive"),
-            (self.retire_floor > 0, "retire_floor must be positive"),
-            (self.smoothing_eps > 0, "smoothing_eps must be positive"),
             (self.pivot_horizon > 0, "pivot_horizon must be positive"),
             (self.idle_timeout > 0, "idle_timeout must be positive"),
             (self.export_interval > 0, "export_interval must be positive"),
@@ -240,9 +236,7 @@ def iso_ts(us: int) -> str:
 
 
 def compact_ts(us: int) -> str:
-    sec, rem = divmod(us, 1_000_000)
-    top = datetime.fromtimestamp(sec, tz=timezone.utc).strftime("%Y%m%dT%H%M%S")
-    return f"{top}{rem:06d}Z"
+    return iso_ts(us).replace("-", "").replace(":", "").replace(".", "")
 
 
 def round9(x: float) -> float:
@@ -339,15 +333,14 @@ class Engine:
         if state.handle is None:
             state.handle = self._new_segmenter()
         port = alert.src_port if direction == "outbound" else alert.dst_port
+        gap = None if elapsed_us is None else elapsed_us / 1e6
         action = Action(
             ais=map_ais_index(alert, self.tables),
             service=map_service_index(port, alert.proto, self.tables),
             maneuver=maneuver_index(direction, transition),
-            timebin=bin_elapsed_index(
-                None if elapsed_us is None else elapsed_us / 1e6),
+            timebin=bin_elapsed_index(gap),
             ts=alert.ts, stream_id=stream_id, raw_seq=alert.raw_seq)
         self.actions_total += 1
-        gap = None if elapsed_us is None else elapsed_us / 1e6
         for actions in state.handle.feed(action, gap):
             self._admit(build_aggregate(actions, self.tables.cardinalities),
                         self.clock)

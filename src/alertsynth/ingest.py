@@ -111,13 +111,13 @@ def parse_alert_line(line: str, seq: int,
                      aliases: Optional[Dict[str, str]] = None) -> Alert:
     """Parse one input line into an Alert with raw_seq = seq.
 
-    Raises ParseError for malformed JSON and MissingField when timestamp,
-    src_ip, or dest_ip is absent or unusable.  Unknown extra keys are
-    ignored.
+    Raises ParseError for malformed or too deeply nested JSON and
+    MissingField when timestamp, src_ip, or dest_ip is absent or unusable.
+    Unknown extra keys are ignored.
     """
     try:
         record = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise ParseError(line[:120])
     if not isinstance(record, dict):
         raise ParseError(line[:120])

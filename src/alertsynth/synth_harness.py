@@ -13,12 +13,12 @@ import calendar
 import math
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .action_space import ConfigError
+from .export_cli import iso_ts, parse_config_file, parse_duration, parse_ratio
 from .ingest import parse_timestamp
 
 
@@ -156,12 +156,6 @@ def _behavior_records(rng: np.random.Generator, spec: BehaviorSpec) -> List[tupl
     return out
 
 
-def _iso(us: int) -> str:
-    sec, rem = divmod(us, 1_000_000)
-    top = datetime.fromtimestamp(sec, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
-    return f"{top}.{rem:06d}+0000"
-
-
 def generate_scenario(specs: Sequence[BehaviorSpec], noise_rate: float,
                       duration: float, seed: int, out_dir: str = ".",
                       t0_us: int = DEFAULT_T0_US) -> Tuple[str, str]:
@@ -198,8 +192,9 @@ def generate_scenario(specs: Sequence[BehaviorSpec], noise_rate: float,
         for seq, rec in enumerate(bumped):
             ts, src, sport, dst, dport, proto, sig_id, sig_text, label = rec
             sig_text = sig_text.replace('"', "'")
+            stamp = iso_ts(t0_us + ts)[:-1] + "+0000"  # Suricata's offset form
             af.write(
-                f'{{"timestamp": "{_iso(t0_us + ts)}", "event_type": "alert", '
+                f'{{"timestamp": "{stamp}", "event_type": "alert", '
                 f'"src_ip": "{src}", "src_port": {sport}, '
                 f'"dest_ip": "{dst}", "dest_port": {dport}, '
                 f'"proto": "{proto.upper()}", '
@@ -261,73 +256,73 @@ def score_recovery(truth_path: str, assignments_path: str) -> Dict[str, object]:
 # -- flat scenario config -----------------------------------------------------
 
 
+def _signature_pairs(value: str) -> Tuple[Tuple[int, str], ...]:
+    pairs = (p.strip().partition(":") for p in value.split(";") if p.strip())
+    return tuple((int(sig_s), text.strip()) for sig_s, _, text in pairs)
+
+
+def _stage_signatures(value: str) -> Tuple[Tuple[int, str], ...]:
+    try:
+        return tuple(STAGE_SIGNATURES[s.strip()] for s in value.split(",") if s.strip())
+    except KeyError as exc:
+        raise ConfigError(f"unknown stage {exc.args[0]!r}")
+
+
+# scenario key -> parser of its string value; behavior.<label>.<field> keys
+# are looked up as behavior.<field>
+_SCENARIO_PARSERS = {
+    "noise_rate": parse_ratio, "duration": parse_duration, "seed": int,
+    "t0": parse_timestamp,
+    "behavior.signatures": _signature_pairs,
+    "behavior.stages": _stage_signatures,
+    "behavior.ais_mix": lambda v: tuple(parse_ratio(w) for w in v.split(",")),
+    **dict.fromkeys(("behavior.sources", "behavior.targets"),
+                    lambda v: tuple(s.strip() for s in v.split(","))),
+    **dict.fromkeys(("behavior.service_port", "behavior.count",
+                     "behavior.episodes"), int),
+    **dict.fromkeys(("behavior.start", "behavior.period"), parse_duration),
+    **dict.fromkeys(("behavior.gap_median", "behavior.gap_sigma"), parse_ratio),
+    **dict.fromkeys(("behavior.proto", "behavior.direction"), str),
+}
+_REQUIRED_FIELDS = ("sources", "targets", "service_port", "ais_mix", "count")
+
+
 def load_scenario(path: str):
     """Parse a flat key=value scenario file.
 
     Global keys: noise_rate (per hour), duration (seconds or with s/m/h/d
     suffix), seed, t0 (ISO timestamp).  Behavior keys are prefixed
-    behavior.<label>.<field>; signatures use id:text pairs joined by ';'.
+    behavior.<label>.<field>; signatures use id:text pairs joined by ';',
+    and the signatures of the listed stages follow them.  Unknown keys or
+    fields, missing behavior fields and bad values are all ConfigErrors.
     """
-    from .export_cli import parse_config_file, parse_duration, parse_ratio
-
-    entries = parse_config_file(path)
-    noise_rate = 0.0
-    duration = 3600.0
-    seed = 0
-    t0_us = DEFAULT_T0_US
-    fields: Dict[str, Dict[str, str]] = {}
-    for key, value in entries.items():
-        if key == "noise_rate":
-            noise_rate = parse_ratio(value)
-        elif key == "duration":
-            duration = parse_duration(value)
-        elif key == "seed":
-            seed = int(value)
-        elif key == "t0":
-            t0_us = parse_timestamp(value)
-        elif key.startswith("behavior."):
+    settings = {"noise_rate": 0.0, "duration": 3600.0, "seed": 0,
+                "t0": DEFAULT_T0_US}
+    fields: Dict[str, Dict[str, object]] = {}
+    for key, value in parse_config_file(path).items():
+        target, name, table_key = settings, key, key
+        if key.startswith("behavior."):
             parts = key.split(".", 2)
             if len(parts) != 3:
                 raise ConfigError(f"bad behavior key {key!r}")
-            fields.setdefault(parts[1], {})[parts[2]] = value
-        else:
+            target, name = fields.setdefault(parts[1], {}), parts[2]
+            table_key = f"behavior.{name}"
+        parser = _SCENARIO_PARSERS.get(table_key)
+        if parser is None:
             raise ConfigError(f"unknown scenario key {key!r}")
+        try:
+            target[name] = parser(value)
+        except ValueError:
+            raise ConfigError(f"bad value for {key}: {value!r}")
 
     specs = []
     for label, fv in fields.items():
-        sigs: List[Tuple[int, str]] = []
-        for pair in fv.get("signatures", "").split(";"):
-            pair = pair.strip()
-            if not pair:
-                continue
-            sig_s, _, text = pair.partition(":")
-            sigs.append((int(sig_s), text.strip()))
-        stages = [s.strip() for s in fv.get("stages", "").split(",") if s.strip()]
-        for stage in stages:
-            if stage not in STAGE_SIGNATURES:
-                raise ConfigError(f"unknown stage {stage!r}")
-            sigs.append(STAGE_SIGNATURES[stage])
-        kwargs = dict(
-            label=label,
-            sources=tuple(s.strip() for s in fv["sources"].split(",")),
-            targets=tuple(s.strip() for s in fv["targets"].split(",")),
-            service_port=int(fv["service_port"]),
-            signatures=tuple(sigs),
-            ais_mix=tuple(parse_ratio(w) for w in fv["ais_mix"].split(",")),
-            count=int(fv["count"]),
-        )
-        for name, parse in (("start", parse_duration), ("period", parse_duration),
-                            ("gap_median", parse_ratio), ("gap_sigma", parse_ratio)):
-            if name in fv:
-                kwargs[name] = parse(fv[name])
-        for name, parse in (("episodes", int),):
-            if name in fv:
-                kwargs[name] = parse(fv[name])
-        for name in ("proto", "direction"):
-            if name in fv:
-                kwargs[name] = fv[name]
-        specs.append(BehaviorSpec(**kwargs))
-    return specs, noise_rate, duration, seed, t0_us
+        missing = [name for name in _REQUIRED_FIELDS if name not in fv]
+        if missing:
+            raise ConfigError(f"behavior {label!r}: missing {', '.join(missing)}")
+        fv["signatures"] = fv.get("signatures", ()) + fv.pop("stages", ())
+        specs.append(BehaviorSpec(label=label, **fv))
+    return (specs, *settings.values())  # noise_rate, duration, seed, t0_us
 
 
 def main(argv: Optional[List[str]] = None) -> int:

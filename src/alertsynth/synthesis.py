@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .action_space import COMPONENTS, WeightConfig
+from .action_space import COMPONENTS, ConfigError, WeightConfig
 from .aggregation import Aggregate
 
 
@@ -34,6 +34,13 @@ class SynthConfig:
     merge_threshold: float = 0.15     # nats
     retire_floor: float = 1.0         # evidence units
     smoothing_eps: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        for name in ("ewma_window", "merge_threshold", "retire_floor", "smoothing_eps"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
 
 
 @dataclass

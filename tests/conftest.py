@@ -2,14 +2,16 @@
 
 Scenario runs are session-scoped because they are the expensive part of the
 suite; acceptance tests and a few integration tests all read from the same
-run artifacts (engine counters, export directories, truth files).
+run artifacts (engine counters, export directories, truth files).  The
+SCENARIOS table holds each scenario's generator settings and engine config;
+tools/artifact_digests.py runs the same table.
 """
 
 import glob
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 import pytest
@@ -85,14 +87,7 @@ KERB_SPECS = [BehaviorSpec(
 
 @pytest.fixture(scope="session")
 def scenario_kerb(tmp_path_factory) -> ScenarioRun:
-    base = tmp_path_factory.mktemp("kerb")
-    # seed chosen so the Poisson draw lands above the 100K-alert floor
-    alerts, truth = generate_scenario(KERB_SPECS, noise_rate=25000.0,
-                                      duration=4 * 3600.0, seed=20250303,
-                                      out_dir=str(base))
-    out = str(base / "out")
-    cfg = build_config({"source": f"file:{alerts}", "export_dir": out})
-    return ScenarioRun(alerts, truth, out, run_engine(cfg))
+    return scenario_run("kerb", tmp_path_factory.mktemp("kerb"))
 
 
 # -- scenario: five planted behaviors over six hours of noise ----------------
@@ -138,13 +133,7 @@ FIVE_SERVICES = {"kerb": "kerberos", "mssql": "ms-sql", "wsman": "wsman",
 
 @pytest.fixture(scope="session")
 def scenario_five(tmp_path_factory) -> ScenarioRun:
-    base = tmp_path_factory.mktemp("five")
-    alerts, truth = generate_scenario(FIVE_SPECS, noise_rate=25000.0,
-                                      duration=6 * 3600.0, seed=7,
-                                      out_dir=str(base))
-    out = str(base / "out")
-    cfg = build_config({"source": f"file:{alerts}", "export_dir": out})
-    return ScenarioRun(alerts, truth, out, run_engine(cfg))
+    return scenario_run("five", tmp_path_factory.mktemp("five"))
 
 
 # -- scenario: periodic outbound C2 over eleven days -------------------------
@@ -160,14 +149,7 @@ PERIODIC_SPECS = [BehaviorSpec(
 
 @pytest.fixture(scope="session")
 def scenario_periodic(tmp_path_factory) -> ScenarioRun:
-    base = tmp_path_factory.mktemp("periodic")
-    alerts, truth = generate_scenario(PERIODIC_SPECS, noise_rate=0.0,
-                                      duration=11 * 86400.0, seed=3,
-                                      out_dir=str(base))
-    out = str(base / "out")
-    cfg = build_config({"source": f"file:{alerts}", "export_dir": out,
-                        "export_interval": "1800s"})
-    return ScenarioRun(alerts, truth, out, run_engine(cfg))
+    return scenario_run("periodic", tmp_path_factory.mktemp("periodic"))
 
 
 # -- scenario: small run with an engineered merge, run twice via run() -------
@@ -192,6 +174,46 @@ SMALL_SPECS = [
 ]
 
 
+# -- the four scenarios: generator settings and engine config ----------------
+
+
+@dataclass(frozen=True)
+class Scenario:
+    specs: List[BehaviorSpec]
+    noise_rate: float                 # alerts per hour
+    duration: float                   # seconds
+    seed: int
+    config: Dict[str, str] = field(default_factory=dict)
+
+    def generate(self, out_dir: str):
+        """(alerts path, truth path) of this scenario written to out_dir."""
+        return generate_scenario(self.specs, noise_rate=self.noise_rate,
+                                 duration=self.duration, seed=self.seed,
+                                 out_dir=out_dir)
+
+    def run_config(self, alerts: str, out_dir: str) -> RunConfig:
+        return build_config({**self.config, "source": f"file:{alerts}",
+                             "export_dir": out_dir})
+
+
+SCENARIOS = {
+    # seed chosen so the Poisson draw lands above the 100K-alert floor
+    "kerb": Scenario(KERB_SPECS, 25000.0, 4 * 3600.0, 20250303),
+    "five": Scenario(FIVE_SPECS, 25000.0, 6 * 3600.0, 7),
+    "periodic": Scenario(PERIODIC_SPECS, 0.0, 11 * 86400.0, 3,
+                         {"export_interval": "1800s"}),
+    "small": Scenario(SMALL_SPECS, 600.0, 7200.0, 99),
+}
+
+
+def scenario_run(name: str, base) -> ScenarioRun:
+    scenario = SCENARIOS[name]
+    alerts, truth = scenario.generate(str(base))
+    out = str(base / "out")
+    return ScenarioRun(alerts, truth, out,
+                       run_engine(scenario.run_config(alerts, out)))
+
+
 @dataclass
 class SmallRun:
     alerts_path: str
@@ -205,13 +227,11 @@ class SmallRun:
 
 @pytest.fixture(scope="session")
 def scenario_small(tmp_path_factory) -> SmallRun:
+    small = SCENARIOS["small"]
     base = tmp_path_factory.mktemp("small")
-    alerts, truth = generate_scenario(SMALL_SPECS, noise_rate=600.0,
-                                      duration=7200.0, seed=99,
-                                      out_dir=str(base))
+    alerts, truth = small.generate(str(base))
     out_a, out_b = str(base / "out_a"), str(base / "out_b")
-    status_a = run(build_config({"source": f"file:{alerts}", "export_dir": out_a}))
-    status_b = run(build_config({"source": f"file:{alerts}", "export_dir": out_b}))
-    engine = run_engine(build_config({"source": f"file:{alerts}",
-                                      "export_dir": str(base / "out_c")}))
+    status_a = run(small.run_config(alerts, out_a))
+    status_b = run(small.run_config(alerts, out_b))
+    engine = run_engine(small.run_config(alerts, str(base / "out_c")))
     return SmallRun(alerts, truth, out_a, out_b, engine, status_a, status_b)

@@ -71,6 +71,42 @@ def model_jsd_ref(counts_a: Sequence[Sequence[float]],
                for w, a, b in zip(weights, counts_a, counts_b))
 
 
+def mapping_rows(path: str, fields: int) -> List[Tuple[str, ...]]:
+    """Data rows of a packaged mapping CSV, split into `fields` stripped
+    fields from the right; blank and # lines and the header row dropped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    rows = [tuple(f.strip() for f in line.rsplit(",", fields - 1))
+            for line in lines if line and not line.startswith("#")]
+    return rows[1:]
+
+
+def ais_label_ref(sig_id: int, text: str, rows: Sequence[Tuple[str, str]]) -> str:
+    """Intent label by the ais_map.csv rules: a signature-id row first, then
+    the first keyword row (file order) found in the text, any case, then
+    Discovery."""
+    for key, label in rows:
+        if key.isdigit() and int(key) == sig_id:
+            return label
+    for key, label in rows:
+        if not key.isdigit() and key.lower() in text.lower():
+            return label
+    return "Discovery"
+
+
+def service_label_ref(port: Optional[int], proto: str,
+                      rows: Sequence[Tuple[int, str, str]]) -> str:
+    """Service label by the port_table.csv rules ("any" is tcp and udp),
+    then reserved (no port or 0), ephemeral (49152 up) or other."""
+    for row_port, row_proto, label in rows:
+        if row_port == port and proto in (("tcp", "udp") if row_proto == "any"
+                                          else (row_proto,)):
+            return label
+    if port is None or port == 0:
+        return "reserved"
+    return "ephemeral" if port >= 49152 else "other"
+
+
 def decay_ref(value: float, dt_seconds: float, window_seconds: float) -> float:
     """Exponential decay with half-life = window / 2."""
     return value * 2.0 ** (-dt_seconds / (window_seconds / 2.0))

@@ -8,9 +8,12 @@ from alertsynth.action_space import (ConfigError, DEFAULT_AIS_CATEGORIES,
                                      MANEUVER_LABELS, TIME_BIN_LABELS,
                                      WeightConfig, bin_elapsed,
                                      bin_elapsed_index, load_mappings, map_ais,
-                                     map_service, maneuver_index)
+                                     map_ais_index, map_service,
+                                     map_service_index, maneuver_index)
 from alertsynth.export_cli import RunConfig
 from alertsynth.ingest import Alert
+from alertsynth.synth_harness import _NOISE_TEXTS, STAGE_SIGNATURES
+from oracles import ais_label_ref, mapping_rows, service_label_ref
 
 
 def mk_alert(sig_id=0, text="", src="198.51.100.1", dst="10.0.0.1"):
@@ -107,6 +110,34 @@ class TestAisMapping:
         from alertsynth.synth_harness import STAGE_SIGNATURES
         for stage, (sig_id, text) in STAGE_SIGNATURES.items():
             assert map_ais(mk_alert(sig_id=sig_id, text=text), tables) == stage
+
+
+class TestIndexEncodersAgainstOracles:
+    """The index encoders against the rules applied straight to the rows of
+    the packaged CSVs."""
+
+    def test_service_every_port(self, tables):
+        rows = [(int(port), proto, label) for port, proto, label
+                in mapping_rows(default_paths()[1], 3)]
+        wrong = [(port, proto) for proto in ("tcp", "udp", "icmp", "other")
+                 for port in (None, *range(65536))
+                 if tables.service_labels[map_service_index(port, proto, tables)]
+                 != service_label_ref(port, proto, rows)]
+        assert wrong == []
+
+    def test_intent_rows_and_generator_texts(self, tables):
+        rows = mapping_rows(default_paths()[0], 2)
+        ids = [int(key) for key, _ in rows if key.isdigit()]
+        keywords = [key for key, _ in rows if not key.isdigit()]
+        assert len(ids) == 8 and len(keywords) == 25
+        cases = [(sig_id, "") for sig_id in ids]
+        cases += [(sig_id, "ET SCAN brute force sweep") for sig_id in ids]
+        cases += [(0, f"ET TEST {keyword.upper()} seen") for keyword in keywords]
+        cases += list(STAGE_SIGNATURES.values()) + list(_NOISE_TEXTS)
+        cases += [(0, ""), (999, "no match here"), (2400001, ""), (-1, "x")]
+        for sig_id, text in cases:
+            expected = tables.ais_index(ais_label_ref(sig_id, text, rows))
+            assert map_ais_index(mk_alert(sig_id, text), tables) == expected, text
 
 
 class TestTimeBins:
@@ -217,6 +248,14 @@ class TestLoadMappings:
         with pytest.raises(ConfigError, match="duplicate intent category"):
             load_mappings(ais_map, port_table, homenet,
                           ais_categories=("Discovery", "Discovery"))
+
+    @pytest.mark.parametrize("label", ["other", "ephemeral", "reserved"])
+    def test_fallback_service_label_fatal(self, tmp_path, label):
+        ais_map, _, homenet = default_paths()
+        bad = tmp_path / "ports.csv"
+        bad.write_text(f"88,any,kerberos\n8000,tcp,{label}\n")
+        with pytest.raises(ConfigError, match="repeats a fallback service"):
+            load_mappings(ais_map, str(bad), homenet)
 
 
 class TestHomenet:

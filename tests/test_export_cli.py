@@ -374,6 +374,15 @@ class TestEngine:
         assert run(self.config(tmp_path, alerts)) == 0
         assert "rejected=1" in capsys.readouterr().out
 
+    def test_deeply_nested_line_rejected(self, tmp_path, capsys):
+        # json.loads raises RecursionError here, not ValueError
+        lines = [eve_line(0.0), "[" * 200_000, eve_line(2.0)]
+        alerts = write_alerts(tmp_path / "a.json", lines)
+        assert run(self.config(tmp_path, alerts)) == 0
+        assert "rejected=1" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "assignments.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["raw_seq", "0", "2"]
+
     def test_wall_time_mode_runs(self, tmp_path):
         lines = [eve_line(i * 1.0) for i in range(20)]
         alerts = write_alerts(tmp_path / "a.json", lines)

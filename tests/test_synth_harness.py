@@ -256,6 +256,26 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="bad behavior key"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("name", ["sources", "targets", "service_port",
+                                      "ais_mix", "count"])
+    def test_missing_field_fatal(self, tmp_path, name):
+        path = tmp_path / "s.conf"
+        kept = [line for line in read_lines(self.write_spec(tmp_path))
+                if not line.startswith(f"behavior.kerb.{name} ")]
+        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"'kerb': missing {name}"):
+            load_scenario(str(path))
+
+    def test_unknown_behavior_field_fatal(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown scenario key"):
+            load_scenario(self.write_spec(tmp_path,
+                                          "behavior.kerb.episode = 3\n"))
+
+    def test_bad_field_value_fatal(self, tmp_path):
+        with pytest.raises(ConfigError, match="bad value for behavior.kerb.count"):
+            load_scenario(self.write_spec(tmp_path,
+                                          "behavior.kerb.count = many\n"))
+
 
 class TestHarnessMain:
     def test_generates_files(self, tmp_path, capsys):
@@ -271,5 +291,11 @@ class TestHarnessMain:
     def test_bad_spec_exits_two(self, tmp_path, capsys):
         path = tmp_path / "s.conf"
         path.write_text("bogus = 1\n", encoding="utf-8")
+        assert harness_main(["--spec", str(path)]) == 2
+        assert "scenario error" in capsys.readouterr().out
+
+    def test_missing_behavior_field_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "s.conf"
+        path.write_text("behavior.kerb.targets = 10.0.2.9\n", encoding="utf-8")
         assert harness_main(["--spec", str(path)]) == 2
         assert "scenario error" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from alertsynth.action_space import Action, WeightConfig
+from alertsynth.action_space import Action, ConfigError, WeightConfig
 from alertsynth.aggregation import build_aggregate
 from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
                                   admission_bound, create_model, cross_entropy,
@@ -53,6 +53,21 @@ def random_pmf(rng, card, sparse=False):
 def fresh_set(**overrides):
     cfg = SynthConfig(**overrides)
     return ModelSet(cfg, CARDS, VOCABS)
+
+
+class TestSynthConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma": 0.0}, {"gamma": 1.5}, {"gamma": math.nan},
+        {"ewma_window": 0.0}, {"merge_threshold": -0.1},
+        {"merge_threshold": 0.0}, {"retire_floor": 0.0},
+        {"smoothing_eps": -1e-6},
+    ])
+    def test_rejects(self, kwargs):
+        with pytest.raises(ConfigError):
+            SynthConfig(**kwargs)
+
+    def test_gamma_one_is_legal(self):
+        assert SynthConfig(gamma=1.0).gamma == 1.0
 
 
 class TestSmoothedPmf:

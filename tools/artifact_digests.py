@@ -4,9 +4,9 @@ behaviour byte-identical.
     PYTHONPATH=src python3 tools/artifact_digests.py [ALERTS ...]
         [--set KEY=VALUE ...] [--scenarios kerb,five,periodic,small]
 
-Runs the end-to-end scenarios of tests/conftest.py (the specs are imported
-from there; seeds and config are the fixtures'), then each alerts file given,
-through alertsynth.export_cli.run, and prints one line per run:
+Runs the end-to-end scenarios of the SCENARIOS table in tests/conftest.py
+(the one its fixtures read), then each alerts file given, through
+alertsynth.export_cli.run, and prints one line per run:
 
     <name> <export directory sha256> <counters line sha256>
 
@@ -29,19 +29,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 
 from checks import export_digest  # noqa: E402
-from conftest import FIVE_SPECS, KERB_SPECS, PERIODIC_SPECS, SMALL_SPECS  # noqa: E402
+from conftest import SCENARIOS  # noqa: E402
 
-from alertsynth import generate_scenario  # noqa: E402
 from alertsynth.export_cli import build_config, run  # noqa: E402
-
-# name -> (specs, noise per hour, duration s, seed, config), as in conftest
-SCENARIOS = {
-    "kerb": (KERB_SPECS, 25000.0, 4 * 3600.0, 20250303, {}),
-    "five": (FIVE_SPECS, 25000.0, 6 * 3600.0, 7, {}),
-    "periodic": (PERIODIC_SPECS, 0.0, 11 * 86400.0, 3,
-                 {"export_interval": "1800s"}),
-    "small": (SMALL_SPECS, 600.0, 7200.0, 99, {}),
-}
 
 
 def digests(alerts, config, out_dir):
@@ -69,13 +59,10 @@ def main(argv=None):
         parser.error(f"unknown scenarios {sorted(unknown)}")
     with tempfile.TemporaryDirectory() as work:
         for name in names:
-            specs, noise, duration, seed, cfg = SCENARIOS[name]
             base = os.path.join(work, name)
-            alerts, _ = generate_scenario(specs, noise_rate=noise,
-                                          duration=duration, seed=seed,
-                                          out_dir=base)
-            print(name, *digests(alerts, cfg, os.path.join(base, "out")),
-                  flush=True)
+            alerts, _ = SCENARIOS[name].generate(base)
+            print(name, *digests(alerts, SCENARIOS[name].config,
+                                 os.path.join(base, "out")), flush=True)
         for k, path in enumerate(args.alerts):
             print(path, *digests(path, config, os.path.join(work, f"file{k}")),
                   flush=True)
