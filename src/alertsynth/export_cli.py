@@ -170,7 +170,7 @@ def parse_source(text: str) -> SourceSpec:
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file, each key once; blank lines and # comments ignored."""
     out: Dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -183,8 +183,10 @@ def parse_config_file(path: str) -> Dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 

@@ -12,6 +12,7 @@ import argparse
 import calendar
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -337,7 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         alerts, truth = generate_scenario(specs, noise_rate, duration, seed,
                                           args.out, t0_us)
     except (ConfigError, OSError, ValueError) as exc:
-        print(f"scenario error: {exc}")
+        print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     print(alerts)
     print(truth)
@@ -345,5 +346,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    import sys
     sys.exit(main())

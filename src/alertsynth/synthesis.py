@@ -43,7 +43,7 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class AttackModel:
     """One live model: per-component count vectors plus lifecycle stamps."""
 
@@ -53,7 +53,6 @@ class AttackModel:
     created_at: int
     last_update_ts: int
     last_decay_ts: int
-    version: int = 0                  # bumped when counts change, not on decay
 
     def pmf(self, component: int) -> np.ndarray:
         c = self.counts[component]
@@ -176,7 +175,6 @@ def update_model(model: AttackModel, agg: Aggregate, now: int,
         model.counts[i] += agg.n * agg.pmfs[i]
     model.evidence += agg.n
     model.last_update_ts = now
-    model.version += 1
     return model
 
 
@@ -204,9 +202,9 @@ class ModelSet:
     smoothed component pmfs side by side (88 columns with the packaged
     tables), and a second matrix of their logs, so scoring is one matvec
     and a merge scan one JSD row, with no loop over components.  The two
-    matrices are the only cache, keyed on every live model's (model_id,
-    version) and rebuilt when a model's counts change; pure decay rescales
-    every count vector by one shared factor and leaves them intact.
+    matrices are state that follows models, not a cache: assigning models
+    (create, merge, retire) rebuilds every row, an associate rewrites its
+    row, and pure decay rescales all counts by one factor and moves none.
     Merging keeps no pairwise matrix: a finished merge pass leaves no pair
     under the merge threshold, and decay and retirement move no pmf, so
     after an admission only pairs involving the touched model need
@@ -218,7 +216,6 @@ class ModelSet:
         self.config = config
         self.cardinalities = tuple(cardinalities)
         self.vocabularies = [tuple(v) for v in vocabularies]
-        self.models: List[AttackModel] = []
         self.genealogy: Dict[int, int] = {}   # absorbed id -> surviving id
         self.created_total = 0
         self.merged_total = 0
@@ -229,9 +226,21 @@ class ModelSet:
         self._clock: Optional[int] = None
         # each component's weight repeated over its vocabulary's columns
         self._wcol = np.repeat(config.weights.vector, self.cardinalities)
-        self._rows_key: List[Tuple[int, int]] = []
-        self._smoothed = np.empty((0, 0))
-        self._logq = np.empty((0, 0))
+        self.models = []
+
+    @property
+    def models(self) -> List[AttackModel]:
+        return self._models
+
+    @models.setter
+    def models(self, models: List[AttackModel]) -> None:
+        """Store the list and rebuild every row from it."""
+        self._models = models
+        if models:
+            self._smoothed, self._logq = smoothed_rows(
+                models, self.config.smoothing_eps)
+        else:
+            self._smoothed = self._logq = np.empty((0, len(self._wcol)))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -251,7 +260,6 @@ class ModelSet:
         broken toward the lowest model id."""
         if not self.models:
             return None
-        self._refresh_rows()
         dist = cross_entropy_rows(self._logq, self._wcol, agg.pmfs)
         k = int(np.argmin(dist))  # first hit = lowest id; list is id-sorted
         return self.models[k], float(dist[k])
@@ -270,12 +278,15 @@ class ModelSet:
         if self.admit(h_star) == "associate":
             model = best[0]
             update_model(model, agg, now, self.config)
+            k = self.models.index(model)      # rewrite only this row
+            self._smoothed[k], self._logq[k] = smoothed_rows(
+                [model], self.config.smoothing_eps)
             action = "associate"
         else:
             model = create_model(agg, now, self._next_id)
             self._next_id += 1
             self.created_total += 1
-            self.models.append(model)
+            self.models = self.models + [model]
             action = "create"
         merges = self.merge_pass(model)
         return Admission(model_id=model.model_id, action=action,
@@ -292,7 +303,6 @@ class ModelSet:
         (i < j) pair."""
         merges: List[Tuple[int, int]] = []
         while len(self.models) >= 2:
-            self._refresh_rows()
             rows = (range(len(self.models)) if changed is None
                     else [self.models.index(changed)])
             best = (np.inf, 0, 0)
@@ -312,9 +322,8 @@ class ModelSet:
             keeper.evidence += loser.evidence
             keeper.created_at = min(keeper.created_at, loser.created_at)
             keeper.last_update_ts = max(keeper.last_update_ts, loser.last_update_ts)
-            keeper.version += 1
             self.genealogy[loser.model_id] = keeper.model_id
-            self.models.remove(loser)
+            self.models = [m for m in self.models if m is not loser]
             self.merged_total += 1
             merges.append((loser.model_id, keeper.model_id))
             if changed is not None:
@@ -329,8 +338,7 @@ class ModelSet:
                    if m.evidence < self.config.retire_floor
                    and now - m.last_update_ts > window_us]
         if retired:
-            gone = {m.model_id for m in retired}
-            self.models = [m for m in self.models if m.model_id not in gone]
+            self.models = [m for m in self.models if m not in retired]
             self.retired_total += len(retired)
         return retired
 
@@ -347,9 +355,6 @@ class ModelSet:
         yet rare everywhere else; ties go to the lexicographically first
         label.  With a single model the plain pmf mode is used."""
         out: Dict[int, Dict[str, str]] = {}
-        if not self.models:
-            return out
-        self._refresh_rows()
         single = len(self.models) == 1
         edges = np.cumsum((0,) + self.cardinalities)
         for k, model in enumerate(self.models):
@@ -369,18 +374,8 @@ class ModelSet:
             out[model.model_id] = feats
         return out
 
-    # -- caches -------------------------------------------------------------
-
-    def _refresh_rows(self) -> None:
-        key = [(m.model_id, m.version) for m in self.models]
-        if key != self._rows_key:
-            self._smoothed, self._logq = smoothed_rows(
-                self.models, self.config.smoothing_eps)
-            self._rows_key = key
-
     def pairwise_jsd(self) -> np.ndarray:
         """Current pairwise JSD matrix, for inspection and tests."""
-        self._refresh_rows()
         m = len(self.models)
         return np.array([jsd_rows(self._smoothed, self._logq, self._wcol, k)
                          for k in range(m)]).reshape(m, m)

@@ -123,6 +123,12 @@ class TestParseConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(tmp_path / "nope.conf"))
 
+    def test_duplicate_key(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("tau = 300s\n# again\ntau = 5m\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="run.conf:3: duplicate key 'tau'"):
+            parse_config_file(str(path))
+
 
 class TestBuildConfig:
     def test_typed_values(self):
@@ -416,6 +422,17 @@ class TestMain:
         assert main(["--config", str(conf), "--gamma", "0"]) == 2
         assert "config error" in capsys.readouterr().err
         assert main(["--config", str(conf), "--gamma", "1/2"]) == 0
+
+    def test_duplicate_config_key_exits_two(self, tmp_path, capsys):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"source = file:{alerts}\ngamma = 1\ngamma = 1/2\n"
+                        f"export_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert main(["--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "duplicate key 'gamma'" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_every_flag_reaches_its_field(self, tmp_path, monkeypatch):
         seen = []

@@ -199,10 +199,7 @@ class TestScoreRecovery:
 
 
 class TestLoadScenario:
-    def write_spec(self, tmp_path, extra=""):
-        path = tmp_path / "scenario.conf"
-        path.write_text(
-            "noise_rate = 1000\n"
+    SPEC = ("noise_rate = 1000\n"
             "duration = 2h\n"
             "seed = 7\n"
             "behavior.kerb.sources = 203.0.113.50\n"
@@ -214,8 +211,14 @@ class TestLoadScenario:
             "behavior.kerb.count = 60\n"
             "behavior.kerb.start = 10m\n"
             "behavior.kerb.episodes = 2\n"
-            "behavior.kerb.period = 30m\n"
-            + extra, encoding="utf-8")
+            "behavior.kerb.period = 30m\n")
+
+    def write_spec(self, tmp_path, extra=""):
+        """SPEC, where a line of extra replaces the line of the same key."""
+        spec = {line.partition("=")[0].strip(): line
+                for line in (self.SPEC + extra).splitlines()}
+        path = tmp_path / "scenario.conf"
+        path.write_text("\n".join(spec.values()) + "\n", encoding="utf-8")
         return str(path)
 
     def test_round_trip(self, tmp_path):
@@ -276,6 +279,14 @@ class TestLoadScenario:
             load_scenario(self.write_spec(tmp_path,
                                           "behavior.kerb.count = many\n"))
 
+    def test_duplicate_key_fatal(self, tmp_path):
+        path = self.write_spec(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("behavior.kerb.count = 90\n")
+        with pytest.raises(ConfigError, match="scenario.conf:14: duplicate key "
+                                              "'behavior.kerb.count'"):
+            load_scenario(path)
+
 
 class TestHarnessMain:
     def test_generates_files(self, tmp_path, capsys):
@@ -292,10 +303,14 @@ class TestHarnessMain:
         path = tmp_path / "s.conf"
         path.write_text("bogus = 1\n", encoding="utf-8")
         assert harness_main(["--spec", str(path)]) == 2
-        assert "scenario error" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "scenario error" in captured.err
+        assert captured.out == ""
 
     def test_missing_behavior_field_exits_two(self, tmp_path, capsys):
         path = tmp_path / "s.conf"
         path.write_text("behavior.kerb.targets = 10.0.2.9\n", encoding="utf-8")
         assert harness_main(["--spec", str(path)]) == 2
-        assert "scenario error" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "scenario error" in captured.err
+        assert captured.out == ""

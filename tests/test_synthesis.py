@@ -12,7 +12,7 @@ from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
                                   admission_bound, create_model, cross_entropy,
                                   decay, effective_evidence, jsd,
                                   jsd_component, kl_divergence, model_distance,
-                                  smoothed_pmf, update_model)
+                                  smoothed_pmf, smoothed_rows, update_model)
 from oracles import (admission_bound_ref, cross_entropy_ref, decay_ref,
                      jsd_component_ref, kl_ref, model_distance_ref,
                      model_jsd_ref, smoothed_ref)
@@ -48,6 +48,16 @@ def random_pmf(rng, card, sparse=False):
         if p.sum() == 0:
             p[0] = 1.0
     return p / p.sum()
+
+
+def nearby_agg(rng, now):
+    """Aggregate over a few neighbouring values, so that models merge."""
+    n = rng.randint(1, 12)
+    base = rng.randrange(12)
+    return make_agg([(base + rng.randrange(3)) % 12 for _ in range(n)],
+                    [rng.randrange(4) for _ in range(n)],
+                    [rng.randrange(3) for _ in range(n)],
+                    [rng.randrange(3) for _ in range(n)], ts=now / 1e6)
 
 
 def fresh_set(**overrides):
@@ -244,7 +254,6 @@ class TestModelUpdates:
         assert m.evidence == pytest.approx(20.0)
         assert m.pmf(0)[1] == pytest.approx(0.5)
         assert m.pmf(0)[2] == pytest.approx(0.5)
-        assert m.version == 1
 
     def test_update_after_total_decay_tracks_aggregate(self):
         m = create_model(make_agg([1] * 10), 0, 0)
@@ -263,6 +272,15 @@ class TestModelUpdates:
             update_model(m, make_agg(vals, ts=now / 1e6), now, SynthConfig())
             for c in m.counts:
                 assert c.sum() == pytest.approx(m.evidence, rel=1e-6)
+
+
+class TestModelIdentity:
+    def test_models_compare_by_identity(self):
+        agg = make_agg([1] * 4)
+        a, b = create_model(agg, 0, 3), create_model(agg, 0, 3)
+        assert a != b
+        assert a == a
+        assert [b, a].index(a) == 1
 
 
 class TestBestModelAndAdmit:
@@ -467,14 +485,15 @@ class TestDecayAll:
             for a, b in zip(m.counts, t.counts):
                 assert np.allclose(a, b, rtol=1e-12)
 
-    def test_decay_keeps_versions_and_choices(self):
+    def test_decay_keeps_rows_and_choices(self):
         ms = fresh_set()
         ms.observe(make_agg([1] * 8), 0)
         ms.observe(make_agg([7] * 8, [20] * 8), 0)
-        versions = [m.version for m in ms.models]
+        rows = ms._smoothed.copy(), ms._logq.copy()
         before = ms.best_model(make_agg([1]))[0].model_id
         ms.decay_all(int(3600 * 1e6))
-        assert [m.version for m in ms.models] == versions
+        assert np.array_equal(ms._smoothed, rows[0])
+        assert np.array_equal(ms._logq, rows[1])
         assert ms.best_model(make_agg([1]))[0].model_id == before
 
     def test_backwards_clock_is_contract_violation(self):
@@ -564,13 +583,7 @@ class TestMergeScanEquivalence:
             w, eps = fast.config.weights, fast.config.smoothing_eps
             now = 0
             for _ in range(40):
-                n = rng.randint(1, 12)
-                base = rng.randrange(12)
-                agg = make_agg([(base + rng.randrange(3)) % 12 for _ in range(n)],
-                               [rng.randrange(4) for _ in range(n)],
-                               [rng.randrange(3) for _ in range(n)],
-                               [rng.randrange(3) for _ in range(n)],
-                               ts=now / 1e6)
+                agg = nearby_agg(rng, now)
                 a, b = fast.observe(agg, now), slow.observe(agg, now)
                 assert (a.model_id, a.action, a.h_star, a.merges) == \
                     (b.model_id, b.action, b.h_star, b.merges)
@@ -586,6 +599,52 @@ class TestMergeScanEquivalence:
         assert merged >= 20
 
 
+class TestRowsTrackModels:
+    """The two row matrices are state that follows the model list: one row
+    per model, equal to a fresh smoothing of every model, after every
+    admission, merge and retirement."""
+
+    def assert_rows_match(self, ms):
+        eps = ms.config.smoothing_eps
+        assert ms._smoothed.shape == ms._logq.shape == (len(ms.models),
+                                                        sum(CARDS))
+        if ms.models:
+            smoothed, logq = smoothed_rows(ms.models, eps)
+            assert np.allclose(ms._smoothed, smoothed, rtol=1e-12, atol=0)
+            assert np.allclose(ms._logq, logq, rtol=1e-12, atol=0)
+
+    def test_rows_follow_observe_and_retire(self):
+        merged = retired = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            ms = fresh_set(merge_threshold=0.3, ewma_window=3600.0)
+            self.assert_rows_match(ms)
+            now = 0
+            for _ in range(40):
+                ms.observe(nearby_agg(rng, now), now)
+                self.assert_rows_match(ms)
+                if rng.random() < 0.2:
+                    ms.retire_pass(now)
+                    self.assert_rows_match(ms)
+                now += rng.randint(0, int(1200 * 1e6))
+            merged += ms.merged_total
+            retired += ms.retired_total
+        assert merged >= 20 and retired >= 1
+
+    def test_assignment_rebuilds_rows(self):
+        ms = fresh_set()
+        a = create_model(make_agg([1] * 5), 0, 0)
+        b = create_model(make_agg([7] * 5, [9] * 5), 0, 1)
+        ms.models = [a, b]
+        self.assert_rows_match(ms)
+        ms.models = [b]
+        self.assert_rows_match(ms)
+        assert ms.best_model(make_agg([1]))[0] is b
+        ms.models = []
+        self.assert_rows_match(ms)
+        assert ms.best_model(make_agg([1])) is None
+
+
 class TestCharacteristics:
     def small_set(self, service_counts_by_model):
         cfg = SynthConfig()
@@ -593,12 +652,14 @@ class TestCharacteristics:
         vocabs = [("alpha", "beta"), ("dns", "http", "kerberos"),
                   ("in", "out"), ("fast", "slow")]
         ms = ModelSet(cfg, cards, vocabs)
+        models = []
         for k, svc in enumerate(service_counts_by_model):
             counts = [np.array([10.0, 0.0]), np.array(svc, dtype=float),
                       np.array([10.0, 0.0]), np.array([10.0, 0.0])]
-            ms.models.append(AttackModel(model_id=k, counts=counts,
-                                         evidence=10.0, created_at=0,
-                                         last_update_ts=0, last_decay_ts=0))
+            models.append(AttackModel(model_id=k, counts=counts,
+                                      evidence=10.0, created_at=0,
+                                      last_update_ts=0, last_decay_ts=0))
+        ms.models = models
         ms._next_id = len(ms.models)
         return ms
 
@@ -629,7 +690,7 @@ class TestCharacteristics:
         cfg = SynthConfig()
         ms = ModelSet(cfg, tables.cardinalities, tables.vocabularies)
         agg = make_agg([10] * 10, [0] * 10)
-        ms.models.append(create_model(agg, 0, 0))
+        ms.models = [create_model(agg, 0, 0)]
         ms._next_id = 1
         feats = ms.characteristic_features()
         assert feats[0]["ais"] == tables.vocabularies[0][10]

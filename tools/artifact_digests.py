@@ -3,18 +3,22 @@ behaviour byte-identical.
 
     PYTHONPATH=src python3 tools/artifact_digests.py [ALERTS ...]
         [--set KEY=VALUE ...] [--scenarios kerb,five,periodic,small]
+        [--workloads kerb-flood,periodic-c2]
 
 Runs the end-to-end scenarios of the SCENARIOS table in tests/conftest.py
-(the one its fixtures read), then each alerts file given, through
+(the one its fixtures read), then the benchmark workloads of
+bench/workloads.py, then each alerts file given, through
 alertsynth.export_cli.run, and prints one line per run:
 
     <name> <export directory sha256> <counters line sha256>
 
 The export digest is the benchmark's (bench/checks.py): every file name and
 byte of models-*.json, evidence.csv and assignments.csv.  The counters
-digest covers the line run() prints, newline included.  --set entries are
-config keys applied to the given alerts files; --scenarios '' skips the
-fixture scenarios.  Run it before and after a change and diff the output.
+digest covers the line run() prints, newline included.  Each workload's
+input is generated from its acceptance seed and run with its own config;
+--set entries are config keys applied on top of that to the workloads and
+to the given alerts files.  --scenarios '' and --workloads '' skip them.
+Run it before and after a change and diff the output.
 """
 
 import argparse
@@ -30,8 +34,10 @@ sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 
 from checks import export_digest  # noqa: E402
 from conftest import SCENARIOS  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 from alertsynth.export_cli import build_config, run  # noqa: E402
+from alertsynth.synth_harness import generate_scenario  # noqa: E402
 
 
 def digests(alerts, config, out_dir):
@@ -44,24 +50,39 @@ def digests(alerts, config, out_dir):
     return export_digest(out_dir), hashlib.sha256(counters).hexdigest()
 
 
+def pick(parser, flag, value, table):
+    """The names of a comma list, each checked against table."""
+    names = [n for n in value.split(",") if n]
+    unknown = set(names) - set(table)
+    if unknown:
+        parser.error(f"unknown {flag} {sorted(unknown)}")
+    return names
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("alerts", nargs="*", help="alerts.jsonl files")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="config entry for the given alerts files")
+                        help="config entry for the workloads and alerts files")
     parser.add_argument("--scenarios", default=",".join(SCENARIOS),
                         help="comma list of fixture scenarios ('' for none)")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma list of benchmark workloads ('' for none)")
     args = parser.parse_args(argv)
     config = dict(entry.split("=", 1) for entry in args.set)
-    names = [n for n in args.scenarios.split(",") if n]
-    unknown = set(names) - set(SCENARIOS)
-    if unknown:
-        parser.error(f"unknown scenarios {sorted(unknown)}")
+    scenarios = pick(parser, "scenarios", args.scenarios, SCENARIOS)
+    workloads = pick(parser, "workloads", args.workloads, WORKLOADS)
     with tempfile.TemporaryDirectory() as work:
-        for name in names:
+        for name in scenarios:
             base = os.path.join(work, name)
             alerts, _ = SCENARIOS[name].generate(base)
             print(name, *digests(alerts, SCENARIOS[name].config,
+                                 os.path.join(base, "out")), flush=True)
+        for name in workloads:
+            w, base = WORKLOADS[name], os.path.join(work, name)
+            alerts, _ = generate_scenario(w.specs, w.noise_rate, w.duration,
+                                          w.seed, base)
+            print(name, *digests(alerts, {**w.config, **config},
                                  os.path.join(base, "out")), flush=True)
         for k, path in enumerate(args.alerts):
             print(path, *digests(path, config, os.path.join(work, f"file{k}")),
