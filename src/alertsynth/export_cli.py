@@ -12,9 +12,11 @@ live feeds.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from importlib.resources import files as pkg_files
@@ -33,6 +35,8 @@ PMF_EXPORT_FLOOR = 1e-9
 
 _ALIAS_KEYS = ("timestamp", "src_ip", "dest_ip", "src_port", "dest_port",
                "proto", "signature_id", "signature", "sensor")
+_DURATION_KEYS = ("tau", "bin_width", "window", "pivot_horizon", "idle_timeout",
+                  "export_interval")
 
 
 def _default_data(name: str) -> str:
@@ -99,6 +103,8 @@ class RunConfig:
             (self.source.kind in ("file-replay", "stdin", "tcp-listen"),
              f"unknown source kind {self.source.kind!r}"),
             (self.source.speedup >= 0, "speedup must be nonnegative"),
+            *((math.isfinite(getattr(self, key) * 1e6),
+               f"{key} must be finite in microseconds") for key in _DURATION_KEYS),
         ]
         for ok, message in checks:
             if not ok:
@@ -198,8 +204,7 @@ _PARSERS = {
     "ais_categories": lambda v: tuple(c.strip() for c in v.split(",") if c.strip()),
     **dict.fromkeys(("ais_map", "port_table", "homenet", "segmenter",
                      "export_dir", "clock_mode"), str),
-    **dict.fromkeys(("tau", "bin_width", "window", "pivot_horizon",
-                     "idle_timeout", "export_interval"), parse_duration),
+    **dict.fromkeys(_DURATION_KEYS, parse_duration),
     **dict.fromkeys(("sigma_bins", "valley_frac", "ks_alpha", "gamma",
                      "merge_threshold", "retire_floor", "smoothing_eps"),
                     parse_ratio),
@@ -304,7 +309,8 @@ class Engine:
         self.aggregates_total = 0
         self.exports_total = 0
         self.merge_counts: List[int] = []
-        self.assignments: List[Tuple[List[int], int]] = []
+        # model id admitted for each raw_seq, -1 for a line never admitted
+        self.assignments = array("q")
         self._interval_us = int(config.export_interval * 1e6)
         self._next_boundary: Optional[int] = None
         self._next_wall: Optional[float] = None
@@ -357,7 +363,11 @@ class Engine:
     def _admit(self, agg: Aggregate, now: int) -> None:
         admission = self.model_set.observe(agg, now)
         self.merge_counts.append(len(admission.merges))
-        self.assignments.append((agg.raw_seqs, admission.model_id))
+        # pad to the largest seq (an array times a count below 1 is empty)
+        self.assignments.extend(
+            array("q", [-1]) * (max(agg.raw_seqs) + 1 - len(self.assignments)))
+        for seq in agg.raw_seqs:
+            self.assignments[seq] = admission.model_id
         self.aggregates_total += 1
 
     def _boundary(self, ts: int) -> None:
@@ -365,14 +375,12 @@ class Engine:
         self._drain(self.tracker.gc(ts, self.config.idle_timeout), ts)
 
     def _drain(self, states, ts: int) -> None:
-        """Flush the given streams, admit their aggregates in (t_end,
-        stream_id) order, retire, and export at ts."""
-        batch = [build_aggregate(actions, self.tables.cardinalities)
-                 for state in states if state.handle is not None
-                 for actions in state.handle.flush()]
-        batch.sort(key=lambda a: (a.t_end, a.stream_id))
-        for agg in batch:
-            self._admit(agg, ts)
+        """Flush the given streams, build and admit their aggregates one at
+        a time in (t_end, stream_id) order, retire, and export at ts."""
+        runs = [actions for state in states for actions in state.handle.flush()]
+        runs.sort(key=lambda run: (max(a.ts for a in run), run[0].stream_id))
+        for actions in runs:
+            self._admit(build_aggregate(actions, self.tables.cardinalities), ts)
         self.model_set.retire_pass(ts)
         self._export(ts)
 
@@ -396,16 +404,12 @@ class Engine:
         if self.clock is None:
             self.clock = 0  # empty input still produces a (zero-model) export
         self._drain(self.tracker.states.values(), self.clock)
-        rows: List[Tuple[int, int]] = []
-        for seqs, model_id in self.assignments:
-            final_id = self.model_set.resolve(model_id)
-            rows.extend((seq, final_id) for seq in seqs)
-        rows.sort()
         path = os.path.join(self.config.export_dir, "assignments.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("raw_seq,model_id\n")
-            for seq, model_id in rows:
-                fh.write(f"{seq},{model_id}\n")
+            for seq, model_id in enumerate(self.assignments):
+                if model_id >= 0:
+                    fh.write(f"{seq},{self.model_set.resolve(model_id)}\n")
 
     def counters(self) -> Dict[str, int]:
         ms = self.model_set

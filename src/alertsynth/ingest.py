@@ -4,7 +4,8 @@ Input is JSON-lines with Suricata-EVE style field names.  A key-alias map
 in the run config adapts other IDS exports that use flat, differently
 named fields.  Records missing a timestamp or either endpoint address are
 counted and skipped, never fatal; addresses must be IPv4/IPv6 literals
-given as JSON strings and are kept in canonical text form.
+given as JSON strings and are kept in canonical text form.  File and TCP
+sources decode bytes that are not UTF-8 as U+FFFD.
 """
 
 import calendar
@@ -171,7 +172,7 @@ def parse_alert_line(line: str, seq: int,
 
 def _file_lines(path: str) -> Iterator[str]:
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="replace")
     except OSError as exc:
         raise SourceError(f"cannot open {path}: {exc}")
     with fh:
@@ -191,7 +192,7 @@ def _tcp_lines(target: str) -> Iterator[str]:
         raise SourceError(f"cannot listen on {target}: {exc}")
     with server:
         conn, _ = server.accept()
-        with conn, conn.makefile("r", encoding="utf-8") as fh:
+        with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
             try:
                 for line in fh:
                     yield line

@@ -6,14 +6,14 @@ and internal continuations of the same maneuver (pivots).  Purely internal
 chains with no qualifying pivot ancestor get synthetic stream keys.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .action_space import Homenet
 from .ingest import Alert
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamState:
     """Mutable per-stream bookkeeping."""
 
@@ -21,9 +21,6 @@ class StreamState:
     last_ts: int
     last_src: str
     last_dst: str
-    # internal ip -> last-touch microseconds; entries expire after the
-    # pivot horizon (enforced at read time)
-    touched_internal_hosts: Dict[str, int] = field(default_factory=dict)
     handle: object = None        # open segmenter, owned by the pipeline
 
 
@@ -46,8 +43,9 @@ class StreamTracker:
         self.homenet = homenet
         self.pivot_horizon_us = int(pivot_horizon * 1e6)
         self.states: Dict[str, StreamState] = {}
-        # internal ip -> {stream_id: last_touch_us}; lets a pivot alert find
-        # every stream that recently touched its source host
+        # internal ip -> {live stream_id: last_touch_us}, the one record of
+        # what each stream touched; lets a pivot alert find every stream that
+        # recently touched its source host (lookups prune stale stamps)
         self._touch_index: Dict[str, Dict[str, int]] = {}
         self._synthetic_seq = 0
 
@@ -116,10 +114,8 @@ class StreamTracker:
     def _touch(self, state: StreamState, ts: int, *ips: str) -> None:
         """Stamp internal addresses as touched by state's stream."""
         for ip in ips:
-            prev = state.touched_internal_hosts.get(ip, 0)
-            stamp = max(prev, ts)
-            state.touched_internal_hosts[ip] = stamp
-            self._touch_index.setdefault(ip, {})[state.stream_id] = stamp
+            entries = self._touch_index.setdefault(ip, {})
+            entries[state.stream_id] = max(entries.get(state.stream_id, ts), ts)
 
     def _find_pivot_stream(self, ip: str, now: int) -> Optional[StreamState]:
         entries = self._touch_index.get(ip)
@@ -128,12 +124,10 @@ class StreamTracker:
         best: Optional[Tuple[int, str]] = None
         stale: List[str] = []
         for stream_id, touched in entries.items():
-            if now - touched > self.pivot_horizon_us or stream_id not in self.states:
+            if now - touched > self.pivot_horizon_us:
                 stale.append(stream_id)
-                continue
-            cand = (touched, stream_id)
-            if best is None or cand > best:
-                best = cand
+            elif best is None or (touched, stream_id) > best:
+                best = (touched, stream_id)
         for stream_id in stale:
             del entries[stream_id]
         if not entries:
@@ -146,10 +140,10 @@ class StreamTracker:
         evicted = [s for s in self.states.values() if now - s.last_ts > limit]
         for state in evicted:
             del self.states[state.stream_id]
-            for ip in state.touched_internal_hosts:
-                entries = self._touch_index.get(ip)
-                if entries is not None:
-                    entries.pop(state.stream_id, None)
-                    if not entries:
-                        del self._touch_index[ip]
+        if evicted:  # the index holds live streams only
+            for ip, entries in list(self._touch_index.items()):
+                for stream_id in [s for s in entries if s not in self.states]:
+                    del entries[stream_id]
+                if not entries:
+                    del self._touch_index[ip]
         return evicted

@@ -14,7 +14,7 @@ from alertsynth.export_cli import (EVIDENCE_HEADER, Engine, RunConfig,
                                    iso_ts, main, parse_config_file,
                                    parse_duration, parse_ratio, parse_source,
                                    parse_weights, round9, run)
-from alertsynth.ingest import SourceSpec
+from alertsynth.ingest import SourceSpec, parse_alert_line
 from conftest import export_files, latest_export, run_engine
 
 T0_US = 1_740_873_600_000_000     # 2025-03-02T00:00:00Z
@@ -161,6 +161,15 @@ class TestBuildConfig:
         assert build_config({"window": "1h",
                              "idle_timeout": "30m"}).idle_timeout == 1800.0
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "1e303"])
+    @pytest.mark.parametrize("key", ["tau", "bin_width", "window",
+                                     "pivot_horizon", "idle_timeout",
+                                     "export_interval"])
+    def test_duration_not_finite_in_microseconds_is_fatal(self, key, value):
+        # 1e303 s is finite, but not in microseconds
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            build_config({key: value})
+
     def test_ais_categories_split(self):
         cfg = build_config({"ais_categories":
                             "Benign, Discovery ,CommandAndControl"})
@@ -288,8 +297,9 @@ class TestEngine:
         assert engine.stats.rejected == 2
         assert engine.stats.parsed == 6
         assert engine.actions_total == 6
-        sizes = sum(n for seqs, _ in engine.assignments for n in [len(seqs)])
-        assert sizes == 6
+        assert len(engine.assignments) == 8
+        assert [seq for seq, model_id in enumerate(engine.assignments)
+                if model_id < 0] == [2, 5]
 
     def test_rejected_lines_consume_sequence_numbers(self, tmp_path):
         lines = [eve_line(0.0), "broken", eve_line(1.0)]
@@ -351,12 +361,44 @@ class TestEngine:
         # in a boundary export without waiting for shutdown
         lines = [eve_line(i * 1.0) for i in range(5)]
         lines.append(eve_line(3 * 3600, src="198.51.100.77"))
-        alerts = write_alerts(tmp_path / "a.json", lines)
-        engine = run_engine(self.config(tmp_path, alerts, window=600.0,
-                                        idle_timeout=1200.0))
-        first_batch = engine.assignments[0]
-        assert len(first_batch[0]) == 5
+        engine = Engine(self.config(tmp_path, tmp_path / "unused.json",
+                                    window=600.0, idle_timeout=1200.0))
+        for seq, line in enumerate(lines):
+            engine.process(parse_alert_line(line, seq))
+        assert engine.aggregates_total == 1
+        model_id = engine.assignments[0]
+        assert model_id >= 0
+        assert engine.assignments.tolist() == [model_id] * 5
+        engine.shutdown()
         assert engine.aggregates_total == 2
+        assert engine.assignments[:5].tolist() == [model_id] * 5
+        assert engine.assignments[5] >= 0
+
+    def test_drain_builds_each_aggregate_just_before_admitting_it(
+            self, tmp_path, monkeypatch):
+        lines = [eve_line(i * 1.0, src=f"198.51.100.{20 + i}") for i in range(3)]
+        engine = Engine(self.config(tmp_path, tmp_path / "unused.json"))
+        for seq, line in enumerate(lines):
+            engine.process(parse_alert_line(line, seq))
+        assert len(engine.tracker.states) == 3
+        calls = []
+        build, observe = export_cli.build_aggregate, engine.model_set.observe
+        monkeypatch.setattr(export_cli, "build_aggregate",
+                            lambda *a: calls.append("build") or build(*a))
+        monkeypatch.setattr(engine.model_set, "observe",
+                            lambda *a: calls.append("observe") or observe(*a))
+        engine.shutdown()
+        assert calls == ["build", "observe"] * 3
+        assert engine.aggregates_total == 3
+
+    def test_invalid_utf8_line_rejected(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_bytes(eve_line(0.0).encode() + b"\n\xff\xfe garbage\n"
+                         + eve_line(2.0).encode() + b"\n")
+        assert run(self.config(tmp_path, path)) == 0
+        assert "rejected=1" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "assignments.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["raw_seq", "0", "2"]
 
     def test_numeric_address_rejected_and_ipv6_spellings_share_a_stream(
             self, tmp_path, capsys):
@@ -432,6 +474,15 @@ class TestMain:
         captured = capsys.readouterr()
         assert "config error" in captured.err
         assert "duplicate key 'gamma'" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_export_interval_exits_two(self, tmp_path, capsys):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        assert main(["--source", f"file:{alerts}", "--export-interval", "inf",
+                     "--export-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "config error: export_interval must be finite" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_every_flag_reaches_its_field(self, tmp_path, monkeypatch):

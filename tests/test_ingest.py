@@ -183,6 +183,18 @@ class TestOpenSource:
         assert stats.rejected == 2
         assert stats.out_of_order == 1
 
+    def test_file_replay_replaces_invalid_utf8(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(GOOD.encode() + b"\n\xff\xfe garbage\n"
+                         + GOOD.replace("hello", "h\xe9llo").encode("latin-1")
+                         + b"\n")
+        stats = IngestStats()
+        alerts = list(open_source(SourceSpec("file-replay", str(path)),
+                                  stats=stats))
+        assert [a.raw_seq for a in alerts] == [0, 2]
+        assert stats.rejected_parse == 1
+        assert alerts[1].signature_text == "ET TEST h\ufffdllo"
+
     def test_missing_file(self):
         with pytest.raises(SourceError):
             list(open_source(SourceSpec("file-replay", "/nonexistent.jsonl")))
@@ -228,7 +240,9 @@ class TestOpenSource:
 
         thread = threading.Thread(target=consume)
         thread.start()
-        payload = (GOOD + "\n").encode() * 2
+        # the undecodable middle line is rejected, not fatal
+        line = (GOOD + "\n").encode()
+        payload = line + b"\xff\n" + line
         for _ in range(50):
             try:
                 with socket.create_connection(("127.0.0.1", port), timeout=1) as c:

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from alertsynth.ingest import Alert
 from alertsynth.stream_tracker import StreamTracker, classify_direction
 
@@ -160,6 +162,17 @@ class TestClockAndGC:
         sid = t.assign(mk(7201, INT_A, INT_B))[0]
         assert sid.startswith("internal#")
 
+    def test_gc_drops_evicted_streams_from_pivot_index(self, tables):
+        t = tracker(tables, horizon=3600.0)
+        t.assign(mk(0, EXT_A, INT_A))
+        assert [s.stream_id for s in t.gc(int(100 * 1e6), idle_timeout=60.0)] == [EXT_A]
+        # the same source comes back as a new stream that never touched INT_A
+        assert t.assign(mk(110, EXT_A, INT_C))[2] == "stream_start"
+        sid, _, trans, _ = t.assign(mk(120, INT_A, INT_B))
+        assert (sid, trans) == ("internal#0", "stream_start")
+        assert all(stream_id in t.states for entries in t._touch_index.values()
+                   for stream_id in entries)
+
 
 class TestTotality:
     def test_fuzzed_assign_never_fails(self, tables):
@@ -181,3 +194,66 @@ class TestTotality:
             assert direction in ("inbound", "outbound", "internal")
             assert (elapsed is None) == (trans == "stream_start")
             assert sid in t.states
+
+
+INTERNAL = (INT_A, INT_B, INT_C)
+EXTERNAL = (EXT_A, EXT_B, "198.51.100.3")
+HORIZON_S = 100.0
+TRANSITIONS = {"stream_start", "same_src_same_dst", "same_src_new_dst",
+               "new_src_same_dst", "src_is_last_dst", "dst_is_last_src",
+               "internal_pivot"}
+# ("assign", seconds after the previous op, src, dst) or ("gc", seconds);
+# short steps keep several touches inside the horizon, gc's jumps expire them
+ASSIGN = st.tuples(st.just("assign"), st.sampled_from([0, 0, 1, 2, 5, 10, 100]),
+                   st.sampled_from(INTERNAL + EXTERNAL),
+                   st.sampled_from(INTERNAL + EXTERNAL))
+GC = st.tuples(st.just("gc"), st.sampled_from([0, 1, 50, 99, 100, 101]))
+OPS = st.lists(st.one_of(ASSIGN, ASSIGN, ASSIGN, GC), min_size=20, max_size=60)
+
+
+class TestTrackerProperties:
+    """Random interleavings of assign and gc against a brute-force model
+    kept from the test's own log of touches."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(ops=OPS, idle_s=st.sampled_from([HORIZON_S / 2, HORIZON_S * 2]))
+    def test_assign_and_gc_match_touch_log(self, tables, ops, idle_s):
+        t = tracker(tables, horizon=HORIZON_S)
+        horizon_us, idle_us = int(HORIZON_S * 1e6), int(idle_s * 1e6)
+        born = {}      # live stream id -> index into log when it started
+        last = {}      # live stream id -> latest alert timestamp
+        log = []       # (stream id, internal ip, us) per touch, in order
+        ts = 0
+        for op in ops:
+            ts += op[1] * 1_000_000
+            if op[0] == "gc":
+                expected = {s for s in born if ts - last[s] > idle_us}
+                evicted = {s.stream_id for s in t.gc(ts, idle_s)}
+                assert evicted == expected
+                for s in evicted:
+                    del born[s], last[s]
+            else:
+                src, dst = op[2], op[3]
+                pivot = None
+                if src in INTERNAL and dst in INTERNAL:
+                    # log order is time order, so the last stamp is the latest
+                    recent = {s: us for k, (s, ip, us) in enumerate(log)
+                              if ip == src and s in born and k >= born[s]}
+                    live = [(us, s) for s, us in recent.items()
+                            if ts - us <= horizon_us]
+                    pivot = max(live)[1] if live else None
+                sid, direction, trans, elapsed = t.assign(mk(ts / 1e6, src, dst))
+                assert trans in TRANSITIONS
+                assert (elapsed is None) == (trans == "stream_start")
+                if direction == "internal":
+                    assert (trans == "internal_pivot") == (pivot is not None)
+                    if pivot is not None:
+                        assert sid == pivot
+                if trans == "stream_start":
+                    born[sid] = len(log)
+                last[sid] = ts
+                log += [(sid, ip, ts) for ip in (src, dst) if ip in INTERNAL]
+            assert set(t.states) == set(born)
+            assert all(stream_id in t.states
+                       for entries in t._touch_index.values()
+                       for stream_id in entries)
