@@ -9,6 +9,7 @@ Aggregate carrying per-component empirical pmfs.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +22,8 @@ class Aggregate:
     """A temporally contiguous batch of actions from one stream."""
 
     raw_seqs: List[int]          # of the actions, in arrival order
-    pmfs: List[np.ndarray]       # one vector per component, each sums to 1
+    vec: np.ndarray              # the component pmfs side by side
+    pmfs: List[np.ndarray]       # views of vec per component, each sums to 1
     n: int
     t_start: int
     t_end: int
@@ -30,17 +32,17 @@ class Aggregate:
 
 def build_aggregate(actions: Sequence[Action],
                     cardinalities: Tuple[int, int, int, int]) -> Aggregate:
-    """Empirical per-component pmfs of a nonempty action batch."""
+    """Empirical pmfs of a nonempty action batch: one bincount of offset values."""
     assert len(actions) > 0, "aggregate needs at least one action"
     n = len(actions)
-    pmfs = []
-    for name, card in zip(COMPONENTS, cardinalities):
-        values = [getattr(a, name) for a in actions]
-        pmfs.append(np.bincount(values, minlength=card) / n)
+    edges = list(accumulate(cardinalities, initial=0))
+    vec = np.bincount([getattr(a, name) + offset for a in actions
+                       for name, offset in zip(COMPONENTS, edges)],
+                      minlength=edges[-1]) / n
     ts = [a.ts for a in actions]
-    return Aggregate(raw_seqs=[a.raw_seq for a in actions], pmfs=pmfs, n=n,
-                     t_start=min(ts), t_end=max(ts),
-                     stream_id=actions[0].stream_id)
+    return Aggregate(raw_seqs=[a.raw_seq for a in actions], vec=vec,
+                     pmfs=[vec[a:b] for a, b in zip(edges, edges[1:])],
+                     n=n, t_start=min(ts), t_end=max(ts), stream_id=actions[0].stream_id)
 
 
 class ThresholdSegmenter:

@@ -87,15 +87,10 @@ class RunConfig:
     def validate(self) -> None:
         self.synth  # building the SynthConfig checks its fields
         checks = [
-            (self.tau > 0, "tau must be positive"),
-            (self.bin_width > 0, "bin_width must be positive"),
             (self.sigma_bins > 0, "sigma_bins must be positive"),
             (0 < self.valley_frac <= 1, "valley_frac must be in (0, 1]"),
             (self.window_n >= 2, "window_n must be at least 2"),
             (0 < self.ks_alpha < 1, "ks_alpha must be in (0, 1)"),
-            (self.pivot_horizon > 0, "pivot_horizon must be positive"),
-            (self.idle_timeout > 0, "idle_timeout must be positive"),
-            (self.export_interval > 0, "export_interval must be positive"),
             (self.clock_mode in ("event-time", "wall-time"),
              f"unknown clock_mode {self.clock_mode!r}"),
             (self.segmenter in ("threshold", "gaussian", "controlchart"),
@@ -103,8 +98,9 @@ class RunConfig:
             (self.source.kind in ("file-replay", "stdin", "tcp-listen"),
              f"unknown source kind {self.source.kind!r}"),
             (self.source.speedup >= 0, "speedup must be nonnegative"),
-            *((math.isfinite(getattr(self, key) * 1e6),
-               f"{key} must be finite in microseconds") for key in _DURATION_KEYS),
+            *((1 <= getattr(self, key) * 1e6 < math.inf,
+               f"{key} must be finite and at least 1 microsecond")
+              for key in _DURATION_KEYS),
         ]
         for ok, message in checks:
             if not ok:

@@ -60,14 +60,12 @@ class AttackModel:
 
 
 def smoothed_pmf(counts: np.ndarray, eps: float) -> np.ndarray:
-    """Normalize counts along the last axis, floor zero cells at eps,
-    renormalize; a stack of count vectors is smoothed row by row."""
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum(axis=-1, keepdims=True)
-    assert (total > 0).all(), "smoothed_pmf needs a nonzero vector"
+    """Normalize a count vector, floor zero cells at eps, renormalize."""
+    total = np.add.reduce(counts)
+    assert total > 0, "smoothed_pmf needs a nonzero vector"
     p = counts / total
     p[p == 0] = eps
-    return p / p.sum(axis=-1, keepdims=True)
+    return p / np.add.reduce(p)
 
 
 def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -96,18 +94,16 @@ def jsd_component(p: np.ndarray, q: np.ndarray) -> float:
 
 def smoothed_rows(models: Sequence[AttackModel], eps: float
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """One row per model holding its smoothed component pmfs side by side
-    (component i in the columns of its vocabulary), and the row logs."""
-    smoothed = np.hstack([smoothed_pmf(np.stack(stack), eps)
-                          for stack in zip(*(m.counts for m in models))])
+    """Per model one row of its smoothed component pmfs side by side, and logs."""
+    smoothed = np.array([np.concatenate([smoothed_pmf(c, eps) for c in m.counts])
+                         for m in models])
     return smoothed, np.log(smoothed)
 
 
 def cross_entropy_rows(logq: np.ndarray, wcol: np.ndarray,
-                       pmfs: Sequence[np.ndarray]) -> np.ndarray:
-    """Weighted cross-entropy of the aggregate pmfs against every row; wcol
-    repeats each component's weight over that component's columns."""
-    return -(logq @ (wcol * np.concatenate(pmfs)))
+                       vec: np.ndarray) -> np.ndarray:
+    """Weighted cross-entropy of the side-by-side pmfs vec against every row."""
+    return -(logq @ (wcol * vec))
 
 
 def jsd_rows(smoothed: np.ndarray, logq: np.ndarray, wcol: np.ndarray,
@@ -131,7 +127,7 @@ def model_distance(agg: Aggregate, model: AttackModel, weights: WeightConfig,
     """Weighted cross-entropy between aggregate pmfs and smoothed model pmfs."""
     _, logq = smoothed_rows([model], eps)
     wcol = np.repeat(weights.vector, [len(c) for c in model.counts])
-    return float(cross_entropy_rows(logq, wcol, agg.pmfs)[0])
+    return float(cross_entropy_rows(logq, wcol, agg.vec)[0])
 
 
 def admission_bound(weights: WeightConfig, cardinalities: Sequence[int],
@@ -180,7 +176,7 @@ def update_model(model: AttackModel, agg: Aggregate, now: int,
 
 def create_model(agg: Aggregate, now: int, model_id: int) -> AttackModel:
     """Fresh model whose pmfs equal the aggregate's pmfs, evidence n."""
-    counts = [agg.n * p.astype(float) for p in agg.pmfs]
+    counts = [agg.n * p for p in agg.pmfs]
     return AttackModel(model_id=model_id, counts=counts, evidence=float(agg.n),
                        created_at=now, last_update_ts=now, last_decay_ts=now)
 
@@ -198,17 +194,17 @@ class Admission:
 class ModelSet:
     """The evolving model collection; single writer, snapshot readers.
 
-    Distances run on one row per live model, in list order: its four
-    smoothed component pmfs side by side (88 columns with the packaged
-    tables), and a second matrix of their logs, so scoring is one matvec
-    and a merge scan one JSD row, with no loop over components.  The two
-    matrices are state that follows models, not a cache: assigning models
-    (create, merge, retire) rebuilds every row, an associate rewrites its
-    row, and pure decay rescales all counts by one factor and moves none.
-    Merging keeps no pairwise matrix: a finished merge pass leaves no pair
-    under the merge threshold, and decay and retirement move no pmf, so
-    after an admission only pairs involving the touched model need
-    checking, and after a merge only pairs involving the keeper.
+    Three matrices hold one row per live model, in list order, over the
+    components' columns side by side (88 with the packaged tables): counts,
+    smoothed pmfs and their logs.  A live model's counts are views of its
+    counts row, so update_model, decay and merges write the matrix in place;
+    scoring is one matvec and a merge scan one JSD row.  The matrices follow
+    the models: assigning models (create, merge, retire) rebuilds them and
+    re-points the views, and an associate re-smooths its row only.  Merging
+    keeps no pairwise matrix: a finished merge pass leaves no pair under the
+    merge threshold, and decay and retirement move no pmf, so after an
+    admission only pairs involving the touched model need checking, and
+    after a merge only pairs involving the keeper.
     """
 
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
@@ -226,6 +222,8 @@ class ModelSet:
         self._clock: Optional[int] = None
         # each component's weight repeated over its vocabulary's columns
         self._wcol = np.repeat(config.weights.vector, self.cardinalities)
+        edges = np.cumsum((0,) + self.cardinalities).tolist()
+        self._spans = list(zip(edges, edges[1:]))   # each component's columns
         self.models = []
 
     @property
@@ -234,8 +232,12 @@ class ModelSet:
 
     @models.setter
     def models(self, models: List[AttackModel]) -> None:
-        """Store the list and rebuild every row from it."""
+        """Store the list, rebuild the matrices, re-point the models' counts."""
         self._models = models
+        self._counts = np.empty((len(models), len(self._wcol)))
+        for m, counts in zip(models, self._counts):
+            np.concatenate(m.counts, out=counts)
+            m.counts = [counts[a:b] for a, b in self._spans]
         if models:
             self._smoothed, self._logq = smoothed_rows(
                 models, self.config.smoothing_eps)
@@ -260,7 +262,7 @@ class ModelSet:
         broken toward the lowest model id."""
         if not self.models:
             return None
-        dist = cross_entropy_rows(self._logq, self._wcol, agg.pmfs)
+        dist = cross_entropy_rows(self._logq, self._wcol, agg.vec)
         k = int(np.argmin(dist))  # first hit = lowest id; list is id-sorted
         return self.models[k], float(dist[k])
 
@@ -278,9 +280,10 @@ class ModelSet:
         if self.admit(h_star) == "associate":
             model = best[0]
             update_model(model, agg, now, self.config)
-            k = self.models.index(model)      # rewrite only this row
-            self._smoothed[k], self._logq[k] = smoothed_rows(
-                [model], self.config.smoothing_eps)
+            k = self.models.index(model)      # re-smooth only this row
+            np.concatenate([smoothed_pmf(c, self.config.smoothing_eps)
+                            for c in model.counts], out=self._smoothed[k])
+            np.log(self._smoothed[k], out=self._logq[k])
             action = "associate"
         else:
             model = create_model(agg, now, self._next_id)
@@ -356,15 +359,14 @@ class ModelSet:
         label.  With a single model the plain pmf mode is used."""
         out: Dict[int, Dict[str, str]] = {}
         single = len(self.models) == 1
-        edges = np.cumsum((0,) + self.cardinalities)
         for k, model in enumerate(self.models):
             feats: Dict[str, str] = {}
-            for i, name in enumerate(COMPONENTS):
+            for i, (name, (a, b)) in enumerate(zip(COMPONENTS, self._spans)):
                 own = model.pmf(i)
                 if single:
                     score = own
                 else:
-                    columns = self._smoothed[:, edges[i]:edges[i + 1]]
+                    columns = self._smoothed[:, a:b]
                     others = np.delete(columns, k, axis=0).max(axis=0)
                     score = own * -np.log(others)
                 best = score.max()

@@ -34,13 +34,18 @@ class TestBuildAggregate:
         for _ in range(50):
             actions = random_actions(rng, rng.randint(1, 40))
             agg = build_aggregate(actions, CARDS)
+            parts = []
             for pmf, field, card in zip(agg.pmfs,
                                         ("ais", "service", "maneuver", "timebin"),
                                         CARDS):
-                expected = pmf_by_counting([getattr(a, field) for a in actions],
-                                           card)
+                values = [getattr(a, field) for a in actions]
+                expected = pmf_by_counting(values, card)
                 assert np.allclose(pmf, expected, atol=1e-12)
                 assert abs(pmf.sum() - 1.0) < 1e-12
+                assert np.shares_memory(pmf, agg.vec)
+                parts.append(np.bincount(values, minlength=card) / len(actions))
+            # one bincount over offset values equals one per component
+            assert np.array_equal(agg.vec, np.concatenate(parts))
 
     def test_metadata(self):
         actions = [mk(5.0, seq=3), mk(1.0, seq=9), mk(2.0, seq=4)]

@@ -161,12 +161,12 @@ class TestBuildConfig:
         assert build_config({"window": "1h",
                              "idle_timeout": "30m"}).idle_timeout == 1800.0
 
-    @pytest.mark.parametrize("value", ["inf", "1e400", "1e303"])
+    @pytest.mark.parametrize("value", ["inf", "1e400", "1e303", "1e-7"])
     @pytest.mark.parametrize("key", ["tau", "bin_width", "window",
                                      "pivot_horizon", "idle_timeout",
                                      "export_interval"])
     def test_duration_not_finite_in_microseconds_is_fatal(self, key, value):
-        # 1e303 s is finite, but not in microseconds
+        # 1e303 s is finite, but not in microseconds; 1e-7 s truncates to 0 us
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             build_config({key: value})
 
@@ -482,6 +482,16 @@ class TestMain:
                      "--export-dir", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert "config error: export_interval must be finite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_sub_microsecond_export_interval_exits_two(self, tmp_path, capsys):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        assert main(["--source", f"file:{alerts}", "--export-interval", "1e-7",
+                     "--export-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert ("config error: export_interval must be finite and at least "
+                "1 microsecond") in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertsynth.action_space import Action, ConfigError, WeightConfig
 from alertsynth.aggregation import build_aggregate
@@ -63,6 +64,17 @@ def nearby_agg(rng, now):
 def fresh_set(**overrides):
     cfg = SynthConfig(**overrides)
     return ModelSet(cfg, CARDS, VOCABS)
+
+
+def assert_counts_are_matrix_views(ms, gone=()):
+    """One counts row per live model, equal to its counts, which are views
+    of the live matrix; models that left the set no longer alias it."""
+    assert ms._counts.shape == (len(ms.models), sum(CARDS))
+    for m, row in zip(ms.models, ms._counts):
+        assert np.array_equal(row, np.concatenate(m.counts))
+        assert all(np.shares_memory(c, ms._counts) for c in m.counts)
+    for m in gone:
+        assert not any(np.shares_memory(c, ms._counts) for c in m.counts)
 
 
 class TestSynthConfig:
@@ -604,10 +616,11 @@ class TestRowsTrackModels:
     per model, equal to a fresh smoothing of every model, after every
     admission, merge and retirement."""
 
-    def assert_rows_match(self, ms):
+    def assert_rows_match(self, ms, gone=()):
         eps = ms.config.smoothing_eps
         assert ms._smoothed.shape == ms._logq.shape == (len(ms.models),
                                                         sum(CARDS))
+        assert_counts_are_matrix_views(ms, gone)
         if ms.models:
             smoothed, logq = smoothed_rows(ms.models, eps)
             assert np.allclose(ms._smoothed, smoothed, rtol=1e-12, atol=0)
@@ -621,11 +634,12 @@ class TestRowsTrackModels:
             self.assert_rows_match(ms)
             now = 0
             for _ in range(40):
+                before = list(ms.models)
                 ms.observe(nearby_agg(rng, now), now)
-                self.assert_rows_match(ms)
+                self.assert_rows_match(
+                    ms, [m for m in before if m not in ms.models])
                 if rng.random() < 0.2:
-                    ms.retire_pass(now)
-                    self.assert_rows_match(ms)
+                    self.assert_rows_match(ms, ms.retire_pass(now))
                 now += rng.randint(0, int(1200 * 1e6))
             merged += ms.merged_total
             retired += ms.retired_total
@@ -638,11 +652,58 @@ class TestRowsTrackModels:
         ms.models = [a, b]
         self.assert_rows_match(ms)
         ms.models = [b]
-        self.assert_rows_match(ms)
+        self.assert_rows_match(ms, [a])
         assert ms.best_model(make_agg([1]))[0] is b
         ms.models = []
         self.assert_rows_match(ms)
         assert ms.best_model(make_agg([1])) is None
+
+
+AGG_ROWS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3),
+                              st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=8)
+SET_OPS = st.lists(st.one_of(     # observe twice as often as retire or decay
+    st.tuples(st.just("observe"), st.integers(0, 1200), AGG_ROWS),
+    st.tuples(st.just("observe"), st.integers(0, 1200), AGG_ROWS),
+    st.tuples(st.sampled_from(["retire", "decay"]), st.integers(0, 12000),
+              st.none())), min_size=10, max_size=40)
+
+
+class TestModelSetProperties:
+    """Random observe/retire/decay sequences keep the model set's
+    invariants after every step."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(ops=SET_OPS)
+    def test_invariants_hold_after_every_step(self, ops):
+        ms = fresh_set(merge_threshold=0.3, ewma_window=3600.0)
+        retired = set()
+        now = 0
+        for kind, dt_s, rows in ops:
+            now += dt_s * 1_000_000
+            before = list(ms.models)
+            if kind == "observe":
+                ms.observe(make_agg(*map(list, zip(*rows)), ts=now / 1e6), now)
+            elif kind == "retire":
+                retired |= {m.model_id for m in ms.retire_pass(now)}
+            else:
+                ms.decay_all(now)
+            assert_counts_are_matrix_views(
+                ms, [m for m in before if m not in ms.models])
+            for a, b in ms._spans:
+                sums = ms._smoothed[:, a:b].sum(axis=1)
+                assert np.all(np.abs(sums - 1.0) <= 1e-12)
+            assert all(m.evidence >= 0 for m in ms.models)
+            assert all((c >= 0).all() for m in ms.models for c in m.counts)
+            live = {m.model_id for m in ms.models}
+            for model_id in ms.genealogy:
+                seen = set()
+                while model_id in ms.genealogy:
+                    assert model_id not in seen, "genealogy has a cycle"
+                    seen.add(model_id)
+                    model_id = ms.genealogy[model_id]
+            assert all(ms.resolve(i) in live | retired for i in ms.genealogy)
+            assert not live & set(ms.genealogy)
 
 
 class TestCharacteristics:
