@@ -119,23 +119,18 @@ class Action:
 
 
 class Homenet:
-    """Set of CIDR ranges defining which addresses count as internal."""
+    """Set of CIDR ranges defining which addresses count as internal, tested
+    on (version, int) keys: an IPv4-mapped address meets the IPv6 ranges."""
 
     def __init__(self, networks: Sequence) -> None:
-        self._v4: List[Tuple[int, int]] = []
-        self._v6: List[Tuple[int, int]] = []
+        self._ranges: Dict[int, List[Tuple[int, int]]] = {4: [], 6: []}
         for net in networks:
-            masked = (int(net.network_address), int(net.netmask))
-            if net.version == 4:
-                self._v4.append(masked)
-            else:
-                self._v6.append(masked)
+            self._ranges[net.version].append(
+                (int(net.network_address), int(net.netmask)))
 
-    def contains(self, ip: str) -> bool:
-        addr = ipaddress.ip_address(ip)
-        value = int(addr)
-        ranges = self._v4 if addr.version == 4 else self._v6
-        return any(value & mask == base for base, mask in ranges)
+    def contains(self, key: Tuple[int, int]) -> bool:
+        version, value = key
+        return any(value & mask == base for base, mask in self._ranges[version])
 
 
 class MappingTables:

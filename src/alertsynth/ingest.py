@@ -4,8 +4,9 @@ Input is JSON-lines with Suricata-EVE style field names.  A key-alias map
 in the run config adapts other IDS exports that use flat, differently
 named fields.  Records missing a timestamp or either endpoint address are
 counted and skipped, never fatal; addresses must be IPv4/IPv6 literals
-given as JSON strings and are kept in canonical text form.  File and TCP
-sources decode bytes that are not UTF-8 as U+FFFD.
+given as JSON strings.  Each is parsed here once, into its canonical text
+and its (version, int) key; no later stage parses address text.  File and
+TCP sources decode bytes that are not UTF-8 as U+FFFD.
 """
 
 import calendar
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime
 from ipaddress import ip_address
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 
 class ParseError(Exception):
@@ -33,11 +34,14 @@ class SourceError(Exception):
 
 @dataclass(slots=True)
 class Alert:
-    """One parsed IDS record."""
+    """One parsed IDS record.  Each endpoint comes from one parse: canonical
+    text for stream ids, transitions and pivots, and a key for Homenet."""
 
     ts: int                      # microseconds since epoch, UTC
     src_ip: str
     dst_ip: str
+    src_key: Tuple[int, int]     # (4 or 6, address as an integer)
+    dst_key: Tuple[int, int]
     src_port: Optional[int]
     dst_port: Optional[int]
     proto: str                   # tcp | udp | icmp | other
@@ -145,10 +149,10 @@ def parse_alert_line(line: str, seq: int,
         if not isinstance(raw, str):
             raise MissingField(name)  # absent, or a JSON number or bool
         try:
-            # canonical text, so 2001:DB8::1 and 2001:db8::1 are one stream
-            endpoints.append(str(ip_address(raw)))
+            endpoints.append(ip_address(raw))
         except ValueError:
             raise MissingField(name)  # host names are not accepted here
+    src, dst = endpoints
 
     proto = str(get("proto") or "").lower()
     if proto not in _PROTOCOLS:
@@ -164,7 +168,9 @@ def parse_alert_line(line: str, seq: int,
     if not isinstance(sensor, str):
         sensor = None
 
-    return Alert(ts=ts, src_ip=endpoints[0], dst_ip=endpoints[1],
+    # canonical text, so 2001:DB8::1 and 2001:db8::1 are one stream
+    return Alert(ts=ts, src_ip=str(src), dst_ip=str(dst),
+                 src_key=(src.version, int(src)), dst_key=(dst.version, int(dst)),
                  src_port=_port(get("src_port")), dst_port=_port(get("dest_port")),
                  proto=proto, signature_id=sig_id, signature_text=sig_text,
                  sensor=sensor, raw_seq=seq)

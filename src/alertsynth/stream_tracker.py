@@ -32,8 +32,8 @@ def _direction(src_in: bool, dst_in: bool) -> str:
 
 def classify_direction(alert: Alert, homenet: Homenet) -> str:
     """inbound | outbound | internal; external-to-external counts as inbound."""
-    return _direction(homenet.contains(alert.src_ip),
-                      homenet.contains(alert.dst_ip))
+    return _direction(homenet.contains(alert.src_key),
+                      homenet.contains(alert.dst_key))
 
 
 class StreamTracker:
@@ -54,8 +54,8 @@ class StreamTracker:
 
         elapsed_us is None exactly when the alert starts a new stream.
         """
-        src_in = self.homenet.contains(alert.src_ip)
-        dst_in = self.homenet.contains(alert.dst_ip)
+        src_in = self.homenet.contains(alert.src_key)
+        dst_in = self.homenet.contains(alert.dst_key)
         direction = _direction(src_in, dst_in)
         if direction == "internal":
             state = self._find_pivot_stream(alert.src_ip, alert.ts)

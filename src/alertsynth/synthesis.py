@@ -194,17 +194,16 @@ class Admission:
 class ModelSet:
     """The evolving model collection; single writer, snapshot readers.
 
-    Three matrices hold one row per live model, in list order, over the
-    components' columns side by side (88 with the packaged tables): counts,
-    smoothed pmfs and their logs.  A live model's counts are views of its
-    counts row, so update_model, decay and merges write the matrix in place;
-    scoring is one matvec and a merge scan one JSD row.  The matrices follow
-    the models: assigning models (create, merge, retire) rebuilds them and
-    re-points the views, and an associate re-smooths its row only.  Merging
-    keeps no pairwise matrix: a finished merge pass leaves no pair under the
-    merge threshold, and decay and retirement move no pmf, so after an
-    admission only pairs involving the touched model need checking, and
-    after a merge only pairs involving the keeper.
+    Two matrices hold one row per live model, in list order, over the
+    components' columns side by side (88 with the packaged tables): smoothed
+    pmfs and their logs.  Each model's counts are its own arrays, which
+    update_model, decay and merges write; scoring is one matvec and a merge
+    scan one JSD row.  The matrices follow the models: assigning models
+    (create, merge, retire) rebuilds them, and an associate re-smooths its
+    row only.  Merging keeps no pairwise matrix: a finished merge pass
+    leaves no pair under the merge threshold, and decay and retirement move
+    no pmf, so after an admission only pairs involving the touched model
+    need checking, and after a merge only pairs involving the keeper.
     """
 
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
@@ -232,12 +231,8 @@ class ModelSet:
 
     @models.setter
     def models(self, models: List[AttackModel]) -> None:
-        """Store the list, rebuild the matrices, re-point the models' counts."""
+        """Store the list and rebuild the smoothed rows and their logs."""
         self._models = models
-        self._counts = np.empty((len(models), len(self._wcol)))
-        for m, counts in zip(models, self._counts):
-            np.concatenate(m.counts, out=counts)
-            m.counts = [counts[a:b] for a, b in self._spans]
         if models:
             self._smoothed, self._logq = smoothed_rows(
                 models, self.config.smoothing_eps)
@@ -247,7 +242,7 @@ class ModelSet:
     # -- lifecycle ---------------------------------------------------------
 
     def decay_all(self, now: int) -> None:
-        """Advance the shared decay clock; one scalar rescale for all models."""
+        """Advance the shared decay clock, decaying every model to now."""
         if self._clock is None:
             self._clock = now
         assert now >= self._clock, "admission clock moved backwards"

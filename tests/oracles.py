@@ -6,6 +6,7 @@ vectorized production code can be validated against a second route.  Nothing
 in this module imports from alertsynth.
 """
 
+import ipaddress
 import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,6 +70,12 @@ def model_jsd_ref(counts_a: Sequence[Sequence[float]],
     """Weighted JSD of two models' smoothed per-component counts."""
     return sum(w * jsd_component_ref(smoothed_ref(a, eps), smoothed_ref(b, eps))
                for w, a, b in zip(weights, counts_a, counts_b))
+
+
+def ip_key_ref(text: str) -> Tuple[int, int]:
+    """(version, int) key of an address literal, straight from ipaddress."""
+    addr = ipaddress.ip_address(text)
+    return addr.version, int(addr)
 
 
 def mapping_rows(path: str, fields: int) -> List[Tuple[str, ...]]:

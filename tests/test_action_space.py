@@ -1,6 +1,8 @@
 """Action-space vocabularies, mapping tables, and binning."""
 
+import ipaddress
 import math
+import random
 
 import pytest
 
@@ -13,11 +15,12 @@ from alertsynth.action_space import (ConfigError, DEFAULT_AIS_CATEGORIES,
 from alertsynth.export_cli import RunConfig
 from alertsynth.ingest import Alert
 from alertsynth.synth_harness import _NOISE_TEXTS, STAGE_SIGNATURES
-from oracles import ais_label_ref, mapping_rows, service_label_ref
+from oracles import ais_label_ref, ip_key_ref, mapping_rows, service_label_ref
 
 
 def mk_alert(sig_id=0, text="", src="198.51.100.1", dst="10.0.0.1"):
-    return Alert(ts=0, src_ip=src, dst_ip=dst, src_port=50000, dst_port=80,
+    return Alert(ts=0, src_ip=src, dst_ip=dst, src_key=ip_key_ref(src),
+                 dst_key=ip_key_ref(dst), src_port=50000, dst_port=80,
                  proto="tcp", signature_id=sig_id, signature_text=text,
                  sensor=None, raw_seq=0)
 
@@ -258,6 +261,20 @@ class TestLoadMappings:
             load_mappings(ais_map, str(bad), homenet)
 
 
+def fuzzed_addresses(networks, rng, per_net=200):
+    """Addresses inside each network and just outside either end, and random
+    addresses of both families, as ipaddress objects."""
+    out = []
+    for net in networks:
+        family = type(net.network_address)
+        lo, hi = int(net.network_address), int(net.broadcast_address)
+        values = [rng.randint(lo, hi) for _ in range(per_net)] + [lo - 1, hi + 1]
+        out += [family(v) for v in values if 0 <= v < 2 ** net.max_prefixlen]
+    out += [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(per_net)]
+    out += [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(per_net)]
+    return out
+
+
 class TestHomenet:
     @pytest.mark.parametrize("ip,internal", [
         ("10.1.2.3", True),
@@ -269,6 +286,35 @@ class TestHomenet:
         ("8.8.8.8", False),
         ("203.0.113.50", False),
         ("::1", False),               # v6 is handled, just not internal here
+        ("::ffff:10.0.0.1", False),   # IPv4-mapped is IPv6, matched as such
     ])
     def test_contains(self, tables, ip, internal):
-        assert tables.homenet.contains(ip) is internal
+        assert tables.homenet.contains(ip_key_ref(ip)) is internal
+
+    @pytest.mark.parametrize("lines", [
+        None,                          # the packaged ranges
+        ["10.0.0.0/8", "192.0.2.0/24", "fe80::/10", "2001:db8::/32",
+         "fd00::/8", "::ffff:10.0.0.0/104"],
+    ])
+    def test_contains_matches_ipaddress(self, tmp_path, lines):
+        """On (version, int) keys, contains agrees with ipaddress's own
+        network membership for fuzzed addresses of both families."""
+        ais_map, port_table, homenet = default_paths()
+        if lines is not None:
+            homenet = tmp_path / "homenet.txt"
+            homenet.write_text("\n".join(lines) + "\n")
+        with open(homenet, "r", encoding="utf-8") as fh:
+            networks = [ipaddress.ip_network(line.strip()) for line in fh
+                        if line.strip() and not line.startswith("#")]
+        tables = load_mappings(ais_map, port_table, str(homenet))
+        rng = random.Random(len(networks))
+        special = ["::ffff:10.0.0.1", "fe80::1%eth0", "fe80::1", "10.0.0.1",
+                   "::", "0.0.0.0", "255.255.255.255"]
+        addresses = fuzzed_addresses(networks, rng) + [
+            ipaddress.ip_address(s) for s in special]
+        seen = set()
+        for a in addresses:
+            expected = any(a in net for net in networks)
+            assert tables.homenet.contains((a.version, int(a))) is expected, a
+            seen.add((a.version, expected))
+        assert {(4, True), (4, False), (6, False)} <= seen

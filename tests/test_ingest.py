@@ -1,16 +1,21 @@
 """Alert parsing and the three source kinds."""
 
 import io
+import ipaddress
 import json
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import alertsynth.ingest
+from alertsynth.export_cli import Engine, build_config
 from alertsynth.ingest import (Alert, IngestStats, MissingField, ParseError,
                                SourceError, SourceSpec, open_source,
                                parse_alert_line, parse_timestamp)
+from oracles import ip_key_ref
 
 GOOD = ('{"timestamp": "2025-03-02T00:00:01.234567+0000", "event_type": "alert", '
         '"src_ip": "198.51.100.7", "src_port": 51234, '
@@ -59,6 +64,8 @@ class TestParseAlertLine:
         assert a.ts == T0 + 1_234_567
         assert a.src_ip == "198.51.100.7"
         assert a.dst_ip == "10.0.0.5"
+        assert a.src_key == (4, 0xC6336407)
+        assert a.dst_key == (4, 0x0A000005)
         assert a.src_port == 51234
         assert a.dst_port == 88
         assert a.proto == "tcp"
@@ -160,6 +167,96 @@ class TestParseAlertLine:
         a = parse_alert_line(json.dumps(rec), 0, aliases)
         assert a.ts == T0 + 1_234_567
         assert a.src_ip == "198.51.100.7"
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=12)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=6)
+TIMESTAMPS = st.one_of(
+    JSON_VALUES,
+    st.datetimes().map(lambda d: d.isoformat()),
+    st.datetimes().map(lambda d: d.strftime("%Y-%m-%dT%H:%M:%S.%f+0000")),
+    st.datetimes().map(lambda d: d.isoformat() + "Z"))
+QUADS = st.tuples(*[st.integers(0, 300)] * 4)
+ADDRESSES = st.one_of(
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda a: a.exploded.upper()),
+    st.ip_addresses(v=6).map(lambda a: str(a).upper()),
+    st.tuples(st.ip_addresses(v=6), st.text(max_size=6)).map(
+        lambda t: f"{t[0]}%{t[1]}"),
+    QUADS.map(lambda q: ".".join(map(str, q))),
+    QUADS.map(lambda q: ".".join(f"{x:03d}" for x in q)),    # leading zeros
+    st.ip_addresses(v=4).map(lambda a: f"::ffff:{a}"),
+    st.ip_addresses().map(int),
+    JSON_VALUES)
+RECORDS = st.fixed_dictionaries(
+    {"timestamp": TIMESTAMPS, "src_ip": ADDRESSES, "dest_ip": ADDRESSES},
+    optional={"src_port": JSON_VALUES, "dest_port": JSON_VALUES,
+              "proto": JSON_VALUES, "sensor": JSON_VALUES,
+              "alert": st.one_of(JSON_VALUES, st.fixed_dictionaries(
+                  {}, optional={"signature_id": JSON_VALUES,
+                                "signature": JSON_VALUES}))})
+# records twice as often as other JSON values or plain text
+LINES = st.one_of(RECORDS.map(json.dumps), RECORDS.map(json.dumps),
+                  JSON_VALUES.map(json.dumps), st.text(max_size=40))
+
+
+class TestParseAlertLineProperties:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(line=LINES)
+    def test_raises_only_its_errors_and_parses_like_ipaddress(self, line):
+        """Any line either raises ParseError/MissingField or yields
+        endpoints that are ipaddress's canonical text and (version, int)."""
+        try:
+            alert = parse_alert_line(line, 3)
+        except (ParseError, MissingField):
+            return
+        record = json.loads(line)
+        assert alert.src_ip == str(ipaddress.ip_address(record["src_ip"]))
+        assert alert.dst_ip == str(ipaddress.ip_address(record["dest_ip"]))
+        assert alert.src_key == ip_key_ref(record["src_ip"])
+        assert alert.dst_key == ip_key_ref(record["dest_ip"])
+        assert alert.raw_seq == 3
+
+
+class TestOneParsePerEndpoint:
+    def test_two_address_constructions_per_parsed_line(self, tmp_path,
+                                                       monkeypatch):
+        """Ingest parses each endpoint once; direction, stream keys, pivots
+        and export read the alert's text and keys without parsing again."""
+        ext, victim, next_hop = "198.51.100.7", "10.0.0.5", "10.0.0.6"
+        rec = json.loads(GOOD)
+        lines = [json.dumps(dict(rec, timestamp=T0 / 1e6 + k,
+                                 src_ip=src, dest_ip=dst))
+                 for k, (src, dst) in enumerate([
+                     (ext, victim),           # inbound
+                     (victim, ext),           # outbound reply
+                     (victim, next_hop),      # internal pivot
+                     (ext, victim)])]
+        path = write_lines(tmp_path / "a.jsonl", lines)
+        config = build_config({"source": f"file:{path}",
+                               "export_dir": str(tmp_path / "out")})
+        engine = Engine(config)
+        parses = []
+        real = ipaddress.ip_address
+
+        def spy(text):
+            parses.append(text)
+            return real(text)
+
+        monkeypatch.setattr(alertsynth.ingest, "ip_address", spy)
+        monkeypatch.setattr(ipaddress, "ip_address", spy)
+        for alert in open_source(config.source, None, engine.stats):
+            engine.process(alert)
+        assert list(engine.tracker.states) == [ext]  # the pivot stayed on
+        engine.shutdown()
+        assert engine.stats.parsed == len(lines)
+        assert engine.actions_total == len(lines)
+        assert len(parses) == 2 * len(lines)
 
 
 def write_lines(path, lines):

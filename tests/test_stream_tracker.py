@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from alertsynth.ingest import Alert
 from alertsynth.stream_tracker import StreamTracker, classify_direction
+from oracles import ip_key_ref
 
 EXT_A = "198.51.100.1"
 EXT_B = "198.51.100.2"
@@ -15,7 +16,8 @@ INT_C = "10.0.0.3"
 
 
 def mk(ts_s, src, dst):
-    return Alert(ts=int(ts_s * 1e6), src_ip=src, dst_ip=dst, src_port=50000,
+    return Alert(ts=int(ts_s * 1e6), src_ip=src, dst_ip=dst,
+                 src_key=ip_key_ref(src), dst_key=ip_key_ref(dst), src_port=50000,
                  dst_port=80, proto="tcp", signature_id=1, signature_text="t",
                  sensor=None, raw_seq=0)
 
