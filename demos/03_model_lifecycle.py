@@ -20,7 +20,8 @@ def main():
 
     def agg(stage_names, port, n):
         move = maneuver_index("inbound", "same_src_same_dst")
-        actions = [Action(ais=tables.ais_index(stage_names[i % len(stage_names)]),
+        stages = [tables.ais_labels.index(name) for name in stage_names]
+        actions = [Action(ais=stages[i % len(stages)],
                           service=map_service_index(port, "tcp", tables),
                           maneuver=move, timebin=4, ts=i * 2_000_000,
                           stream_id="s", raw_seq=i)

@@ -10,11 +10,11 @@ from .action_space import (Action, ConfigError, MappingTables, WeightConfig,
 from .aggregation import Aggregate, build_aggregate, make_segmenter
 from .ingest import (Alert, IngestStats, MissingField, ParseError, SourceError,
                      SourceSpec, open_source, parse_alert_line)
-from .stream_tracker import StreamState, StreamTracker, classify_direction
+from .stream_tracker import StreamState, StreamTracker
 from .synthesis import (Admission, AttackModel, ModelSet, SynthConfig,
                         admission_bound, create_model, cross_entropy, decay,
-                        effective_evidence, jsd, jsd_component, kl_divergence,
-                        model_distance, smoothed_pmf, update_model)
+                        jsd, jsd_component, kl_divergence, model_distance,
+                        smoothed_pmf, update_model)
 from .synth_harness import (BehaviorSpec, ScoringError, generate_scenario,
                             score_recovery)
 from .export_cli import Engine, RunConfig, run
@@ -26,10 +26,9 @@ __all__ = [
     "ConfigError", "Engine", "IngestStats", "MappingTables", "MissingField",
     "ModelSet", "ParseError", "RunConfig", "ScoringError", "SourceError",
     "SourceSpec", "StreamState", "StreamTracker", "SynthConfig", "WeightConfig",
-    "admission_bound", "bin_elapsed", "build_aggregate", "classify_direction",
-    "create_model", "cross_entropy", "decay", "effective_evidence",
-    "generate_scenario", "jsd", "jsd_component", "kl_divergence",
-    "load_mappings", "make_segmenter", "map_ais", "map_service",
-    "model_distance", "open_source", "parse_alert_line", "run",
+    "admission_bound", "bin_elapsed", "build_aggregate", "create_model",
+    "cross_entropy", "decay", "generate_scenario", "jsd", "jsd_component",
+    "kl_divergence", "load_mappings", "make_segmenter", "map_ais",
+    "map_service", "model_distance", "open_source", "parse_alert_line", "run",
     "score_recovery", "smoothed_pmf", "update_model",
 ]

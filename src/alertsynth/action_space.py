@@ -134,33 +134,36 @@ class Homenet:
 
 
 class MappingTables:
-    """Immutable lookup tables built once at startup and shared read-only."""
+    """Immutable lookup tables built once at startup and shared read-only.
+
+    The label tuples give each component's vocabulary in index order; the
+    mapping files are kept only in the index-valued forms the encoders read
+    per alert (signature id and keyword to intent index, (port, proto) to
+    service index).
+    """
 
     def __init__(self, ais_by_id: Dict[int, str], keyword_rules: List[Tuple[str, str]],
                  port_labels: Dict[Tuple[int, str], str], homenet: Homenet,
                  ais_categories: Sequence[str]) -> None:
-        self.ais_by_id = ais_by_id
-        self.keyword_rules = keyword_rules
-        self.port_labels = port_labels
         self.homenet = homenet
-
         self.ais_labels: Tuple[str, ...] = tuple(ais_categories)
         table_labels = tuple(sorted(set(port_labels.values())))
         if set(table_labels) & set(_FALLBACK_SERVICES):
             raise ConfigError("a port-table label repeats a fallback service name")
         self.service_labels: Tuple[str, ...] = table_labels + _FALLBACK_SERVICES
-        self.maneuver_labels = MANEUVER_LABELS
-        self.timebin_labels = TIME_BIN_LABELS
+        self.vocabularies: Tuple[Tuple[str, ...], ...] = (
+            self.ais_labels, self.service_labels, MANEUVER_LABELS, TIME_BIN_LABELS)
+        self.cardinalities: Tuple[int, int, int, int] = tuple(
+            len(v) for v in self.vocabularies)
 
-        # index-valued forms of the tables, read per alert by the encoders
-        self._ais_index = {name: i for i, name in enumerate(self.ais_labels)}
-        if "Discovery" not in self._ais_index:
+        ais_index = {name: i for i, name in enumerate(self.ais_labels)}
+        if "Discovery" not in ais_index:
             raise ConfigError("intent categories must include Discovery (the default)")
-        self._default_ais = self._ais_index["Discovery"]
+        self._default_ais = ais_index["Discovery"]
         try:
-            self._ais_by_id = {sig_id: self._ais_index[name]
+            self._ais_by_id = {sig_id: ais_index[name]
                                for sig_id, name in ais_by_id.items()}
-            self._keyword_rules = [(keyword, self._ais_index[name])
+            self._keyword_rules = [(keyword, ais_index[name])
                                    for keyword, name in keyword_rules]
         except KeyError as exc:
             raise ConfigError(f"unknown intent category {exc.args[0]!r} in mapping")
@@ -169,19 +172,6 @@ class MappingTables:
                             for key, label in port_labels.items()}
         self._ephemeral, self._reserved, self._other = range(
             len(table_labels), len(self.service_labels))
-
-    @property
-    def cardinalities(self) -> Tuple[int, int, int, int]:
-        return (len(self.ais_labels), len(self.service_labels),
-                len(self.maneuver_labels), len(self.timebin_labels))
-
-    @property
-    def vocabularies(self) -> Tuple[Tuple[str, ...], ...]:
-        return (self.ais_labels, self.service_labels,
-                self.maneuver_labels, self.timebin_labels)
-
-    def ais_index(self, name: str) -> int:
-        return self._ais_index[name]
 
 
 def load_mappings(ais_map_file: str, port_table_file: str, homenet_file: str,
@@ -301,9 +291,7 @@ def bin_elapsed(dt: Optional[float]) -> str:
 def bin_elapsed_index(dt: Optional[float]) -> int:
     if dt is None:
         return 0
-    if dt < 0:
-        dt = 0.0  # negative gaps are clamped upstream; stay total anyway
-    return 1 + bisect_right(_BIN_EDGES, dt)
+    return 1 + bisect_right(_BIN_EDGES, dt)  # a negative gap bins as 0.0
 
 
 def maneuver_index(direction: str, transition: str) -> int:

@@ -19,15 +19,14 @@ from .action_space import COMPONENTS, Action, ConfigError
 
 @dataclass
 class Aggregate:
-    """A temporally contiguous batch of actions from one stream."""
+    """A temporally contiguous batch of actions from one stream, as the model
+    set sees it: its pmfs, size, the lines it covers and its latest time."""
 
     raw_seqs: List[int]          # of the actions, in arrival order
     vec: np.ndarray              # the component pmfs side by side
     pmfs: List[np.ndarray]       # views of vec per component, each sums to 1
     n: int
-    t_start: int
-    t_end: int
-    stream_id: str
+    t_end: int                   # latest action ts, microseconds
 
 
 def build_aggregate(actions: Sequence[Action],
@@ -39,10 +38,9 @@ def build_aggregate(actions: Sequence[Action],
     vec = np.bincount([getattr(a, name) + offset for a in actions
                        for name, offset in zip(COMPONENTS, edges)],
                       minlength=edges[-1]) / n
-    ts = [a.ts for a in actions]
     return Aggregate(raw_seqs=[a.raw_seq for a in actions], vec=vec,
                      pmfs=[vec[a:b] for a, b in zip(edges, edges[1:])],
-                     n=n, t_start=min(ts), t_end=max(ts), stream_id=actions[0].stream_id)
+                     n=n, t_end=max(a.ts for a in actions))
 
 
 class ThresholdSegmenter:

@@ -34,7 +34,7 @@ SCHEMA_VERSION = "assert-models/1"
 PMF_EXPORT_FLOOR = 1e-9
 
 _ALIAS_KEYS = ("timestamp", "src_ip", "dest_ip", "src_port", "dest_port",
-               "proto", "signature_id", "signature", "sensor")
+               "proto", "signature_id", "signature")
 _DURATION_KEYS = ("tau", "bin_width", "window", "pivot_horizon", "idle_timeout",
                   "export_interval")
 

@@ -34,8 +34,10 @@ class SourceError(Exception):
 
 @dataclass(slots=True)
 class Alert:
-    """One parsed IDS record.  Each endpoint comes from one parse: canonical
-    text for stream ids, transitions and pivots, and a key for Homenet."""
+    """One parsed IDS record, holding only the fields a pipeline stage reads
+    (other keys of the record are dropped).  Each endpoint comes from one
+    parse: canonical text for stream ids, transitions and pivots, and a key
+    for Homenet."""
 
     ts: int                      # microseconds since epoch, UTC
     src_ip: str
@@ -47,7 +49,6 @@ class Alert:
     proto: str                   # tcp | udp | icmp | other
     signature_id: int
     signature_text: str
-    sensor: Optional[str]
     raw_seq: int
 
 
@@ -164,16 +165,13 @@ def parse_alert_line(line: str, seq: int,
     sig_text = get("signature", nested=True)
     if not isinstance(sig_text, str):
         sig_text = ""
-    sensor = get("sensor")
-    if not isinstance(sensor, str):
-        sensor = None
 
     # canonical text, so 2001:DB8::1 and 2001:db8::1 are one stream
     return Alert(ts=ts, src_ip=str(src), dst_ip=str(dst),
                  src_key=(src.version, int(src)), dst_key=(dst.version, int(dst)),
                  src_port=_port(get("src_port")), dst_port=_port(get("dest_port")),
                  proto=proto, signature_id=sig_id, signature_text=sig_text,
-                 sensor=sensor, raw_seq=seq)
+                 raw_seq=seq)
 
 
 def _file_lines(path: str) -> Iterator[str]:

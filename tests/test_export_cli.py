@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertsynth import export_cli
 from alertsynth.action_space import ConfigError
@@ -14,8 +16,10 @@ from alertsynth.export_cli import (EVIDENCE_HEADER, Engine, RunConfig,
                                    iso_ts, main, parse_config_file,
                                    parse_duration, parse_ratio, parse_source,
                                    parse_weights, round9, run)
-from alertsynth.ingest import SourceSpec, parse_alert_line
+from alertsynth.ingest import (MissingField, ParseError, SourceSpec,
+                               parse_alert_line)
 from conftest import export_files, latest_export, run_engine
+from test_ingest import ADDRESSES, JSON_VALUES
 
 T0_US = 1_740_873_600_000_000     # 2025-03-02T00:00:00Z
 
@@ -155,6 +159,8 @@ class TestBuildConfig:
     def test_unknown_alias_is_fatal(self):
         with pytest.raises(ConfigError, match="unknown alias key"):
             build_config({"alias_color": "hue"})
+        with pytest.raises(ConfigError, match="unknown alias key"):
+            build_config({"alias_sensor": "host"})  # the field is not read
 
     def test_idle_timeout_defaults_to_twice_window(self):
         assert build_config({"window": "1h"}).idle_timeout == 7200.0
@@ -438,6 +444,102 @@ class TestEngine:
                                         clock_mode="wall-time"))
         assert engine.exports_total >= 1
         assert engine.counters()["models_live"] == 1
+
+    def test_wall_time_export_fires_mid_feed(self, tmp_path, monkeypatch):
+        """A wall-clock export is stamped max(clock, alert ts); a shutdown
+        at the clock of the last export writes no second file or rows."""
+        wall = [0.0]
+        monkeypatch.setattr(export_cli.time, "monotonic", lambda: wall[0])
+        engine = Engine(self.config(tmp_path, tmp_path / "unused.json",
+                                    clock_mode="wall-time"))
+        # (wall seconds, event seconds); the gap over tau admits model 0
+        feed = [(0, 0), (100, 700), (700, 710), (800, 720), (1400, 715)]
+        for seq, (wall_s, offset) in enumerate(feed):
+            wall[0] = wall_s
+            engine.process(parse_alert_line(eve_line(offset), seq))
+        # stamped by the alert at 710 s, then by the clock at 720 s
+        stamps = [T0_US + s * 1_000_000 for s in (710, 720)]
+        out = tmp_path / "out"
+        names = [os.path.basename(p) for p in export_files(str(out))]
+        assert names == [f"models-{compact_ts(us)}.json" for us in stamps]
+        engine.shutdown()
+        assert engine.exports_total == 2
+        assert [os.path.basename(p) for p in export_files(str(out))] == names
+        rows = (out / "evidence.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            [iso_ts(us), "0"] for us in stamps]
+
+
+def mostly(common, rare):
+    """Draws from common three times in four, else from rare."""
+    return st.integers(0, 3).flatmap(lambda k: rare if k == 0 else common)
+
+
+# Timestamps within two days of T0 (or one hour, for bursts) in any order,
+# as epoch seconds or ISO text, or unusable.  The unbounded timestamps of
+# test_ingest would make runs too long: a forward jump exports once per
+# empty interval (ROADMAP item 1), so a record from year 9999 would start
+# about 4e8 boundaries.
+NEAR_T0 = st.one_of(st.integers(-2 * 86400 * 10**6, 2 * 86400 * 10**6),
+                    st.integers(-3600 * 10**6, 3600 * 10**6)).map(
+    lambda d: T0_US + d)
+ENGINE_TIMESTAMPS = mostly(
+    st.one_of(NEAR_T0.map(lambda us: us / 1e6), NEAR_T0.map(iso_ts)),
+    st.one_of(st.none(), st.booleans(), st.sampled_from(["", "soon", math.nan])))
+# a few recurring hosts, inside and outside the homenet, so that streams,
+# replies and pivots recur
+HOSTS = mostly(st.sampled_from(["10.0.0.1", "10.0.0.2", "192.168.1.5",
+                                "198.51.100.7", "203.0.113.9", "2001:db8::1"]),
+               ADDRESSES)
+PORTS = mostly(st.sampled_from([22, 53, 80, 88, 445, 50000]), JSON_VALUES)
+ENGINE_RECORDS = st.fixed_dictionaries(
+    {"timestamp": ENGINE_TIMESTAMPS, "src_ip": HOSTS, "dest_ip": HOSTS},
+    optional={"src_port": PORTS, "dest_port": PORTS,
+              "proto": mostly(st.sampled_from(["TCP", "udp"]), JSON_VALUES),
+              "alert": st.fixed_dictionaries({}, optional={
+                  "signature_id": JSON_VALUES,
+                  "signature": mostly(st.sampled_from(
+                      ["ET SCAN probe", "brute force", "exfil"]),
+                      JSON_VALUES)})})
+# one line each: no newline or carriage return inside
+ENGINE_LINE = mostly(ENGINE_RECORDS.map(json.dumps), st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\r\n"), max_size=40)))
+# 1 to 60 lines, any length as likely as another
+ENGINE_LINES = st.integers(1, 60).flatmap(
+    lambda n: st.lists(ENGINE_LINE, min_size=n, max_size=n))
+
+
+class TestEngineProperties:
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(lines=ENGINE_LINES)
+    def test_engine_survives_any_line(self, lines):
+        """Any lines run through source, engine and shutdown, with each of
+        the three segmenters, without raising; every line is counted, and
+        assignments.csv holds each parsed line once and no rejected line."""
+        parsed = []
+        for seq, line in enumerate(lines):
+            try:
+                parse_alert_line(line, seq)
+            except (ParseError, MissingField):
+                continue
+            parsed.append(seq)
+        with tempfile.TemporaryDirectory() as workdir:
+            alerts = os.path.join(workdir, "a.json")
+            with open(alerts, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            for segmenter in ("threshold", "gaussian", "controlchart"):
+                out = os.path.join(workdir, segmenter)
+                # hourly exports: up to 96 over the four days of NEAR_T0
+                engine = run_engine(build_config({
+                    "source": f"file:{alerts}", "export_dir": out,
+                    "segmenter": segmenter, "export_interval": "1h"}))
+                with open(os.path.join(out, "assignments.csv"),
+                          encoding="utf-8") as fh:
+                    rows = fh.read().splitlines()
+                assert engine.counters()["alerts_in"] == len(lines)
+                assert [int(row.split(",")[0]) for row in rows[1:]] == parsed
 
 
 class TestMain:

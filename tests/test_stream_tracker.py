@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from alertsynth.ingest import Alert
-from alertsynth.stream_tracker import StreamTracker, classify_direction
+from alertsynth.stream_tracker import StreamTracker
 from oracles import ip_key_ref
 
 EXT_A = "198.51.100.1"
@@ -19,7 +19,7 @@ def mk(ts_s, src, dst):
     return Alert(ts=int(ts_s * 1e6), src_ip=src, dst_ip=dst,
                  src_key=ip_key_ref(src), dst_key=ip_key_ref(dst), src_port=50000,
                  dst_port=80, proto="tcp", signature_id=1, signature_text="t",
-                 sensor=None, raw_seq=0)
+                 raw_seq=0)
 
 
 def tracker(tables, horizon=3600.0):
@@ -28,12 +28,13 @@ def tracker(tables, horizon=3600.0):
 
 class TestDirection:
     def test_all_four_pairings(self, tables):
-        h = tables.homenet
-        assert classify_direction(mk(0, EXT_A, INT_A), h) == "inbound"
-        assert classify_direction(mk(0, INT_A, EXT_A), h) == "outbound"
-        assert classify_direction(mk(0, INT_A, INT_B), h) == "internal"
+        def direction(src, dst):
+            return tracker(tables).assign(mk(0, src, dst))[1]
+        assert direction(EXT_A, INT_A) == "inbound"
+        assert direction(INT_A, EXT_A) == "outbound"
+        assert direction(INT_A, INT_B) == "internal"
         # external-to-external anchors on the source
-        assert classify_direction(mk(0, EXT_A, EXT_B), h) == "inbound"
+        assert direction(EXT_A, EXT_B) == "inbound"
 
 
 class TestExternalStreams:

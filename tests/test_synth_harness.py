@@ -66,6 +66,18 @@ class TestGenerateScenario:
         assert first["proto"] == "TCP"
         assert first["alert"]["signature_id"] == 2400001
 
+    def test_fewer_alerts_than_episodes(self, tmp_path):
+        # each episode's share is 0, so the first takes the remainder and
+        # the other four are skipped
+        alerts, truth = generate_scenario(
+            [spec(count=3, episodes=5, period=600.0)], noise_rate=0.0,
+            duration=3600.0, seed=1, out_dir=str(tmp_path))
+        stamps = [json.loads(line)["timestamp"] for line in read_lines(alerts)]
+        assert len(stamps) == 3
+        assert read_lines(truth)[1:] == [f"{i},probe" for i in range(3)]
+        assert stamps[0] == "2025-03-02T00:01:40.000000+0000"
+        assert stamps[-1] < "2025-03-02T00:11:40"  # before episode 1 starts
+
     def test_deterministic_per_seed(self, tmp_path):
         pair = []
         for sub in ("a", "b"):

@@ -11,9 +11,9 @@ from alertsynth.action_space import Action, ConfigError, WeightConfig
 from alertsynth.aggregation import build_aggregate
 from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
                                   admission_bound, create_model, cross_entropy,
-                                  decay, effective_evidence, jsd,
-                                  jsd_component, kl_divergence, model_distance,
-                                  smoothed_pmf, smoothed_rows, update_model)
+                                  decay, jsd, jsd_component, jsd_rows,
+                                  kl_divergence, model_distance, smoothed_pmf,
+                                  smoothed_rows, update_model)
 from oracles import (admission_bound_ref, cross_entropy_ref, decay_ref,
                      jsd_component_ref, kl_ref, model_distance_ref,
                      model_jsd_ref, smoothed_ref)
@@ -64,6 +64,12 @@ def nearby_agg(rng, now):
 def fresh_set(**overrides):
     cfg = SynthConfig(**overrides)
     return ModelSet(cfg, CARDS, VOCABS)
+
+
+def jsd_matrix(ms):
+    """Pairwise JSD of the set's stored rows, one jsd_rows call per row."""
+    return np.array([jsd_rows(ms._smoothed, ms._logq, ms._wcol, k)
+                     for k in range(len(ms.models))])
 
 
 class TestSynthConfig:
@@ -224,13 +230,6 @@ class TestDecay:
         with pytest.raises(AssertionError):
             decay(m, 9_000_000, 21600.0)
 
-    def test_effective_evidence_is_read_only(self):
-        m = self.model(100.0)
-        e = effective_evidence(m, int(10800 * 1e6), 21600.0)
-        assert e == pytest.approx(50.0, abs=1e-9)
-        assert m.evidence == 100.0
-        assert m.last_decay_ts == 0
-
 
 class TestModelUpdates:
     def test_create_model_single_action(self):
@@ -365,7 +364,7 @@ class TestMerging:
                 c *= scale
             m.evidence = e
         ms.models = [m0, m1]
-        ms._next_id = 2
+        ms.created_total = 2
         return ms
 
     def test_identical_pair_merges_once(self):
@@ -392,7 +391,7 @@ class TestMerging:
         ms = fresh_set()
         ms.models = [create_model(make_agg([1] * 10), 0, 0),
                      create_model(make_agg([7] * 10), 0, 1)]
-        ms._next_id = 2
+        ms.created_total = 2
         assert ms.merge_pass() == []
         assert len(ms.models) == 2
 
@@ -403,8 +402,8 @@ class TestMerging:
         far = make_agg([9] * 20)
         ms.models = [create_model(far, 0, 0), create_model(close_a, 0, 1),
                      create_model(close_b, 0, 2)]
-        ms._next_id = 3
-        matrix = ms.pairwise_jsd()
+        ms.created_total = 3
+        matrix = jsd_matrix(ms)
         w, eps = ms.config.weights.vector, ms.config.smoothing_eps
         for i in range(3):
             for j in range(3):
@@ -423,7 +422,7 @@ class TestMerging:
         m2 = create_model(base, 9_000_000, 2)
         m0.evidence, m1.evidence, m2.evidence = 30.0, 20.0, 10.0
         ms.models = [m0, m1, m2]
-        ms._next_id = 3
+        ms.created_total = 3
         merges = ms.merge_pass()
         assert merges == [(1, 0), (2, 0)]
         assert len(ms.models) == 1
@@ -443,7 +442,7 @@ class TestRetirement:
         m.last_decay_ts = now
         ms.models = [m]
         ms._clock = now
-        ms._next_id = 1
+        ms.created_total = 1
         return ms, now
 
     def test_weak_and_idle_retires(self):
@@ -539,7 +538,7 @@ class TestRouteEquivalence:
     def test_pairwise_jsd_equals_scalar_jsd(self):
         ms, _ = self.populated(23)
         w, eps = ms.config.weights.vector, ms.config.smoothing_eps
-        matrix = ms.pairwise_jsd()
+        matrix = jsd_matrix(ms)
         k = len(ms.models)
         assert matrix.shape == (k, k)
         for i in range(k):
@@ -705,7 +704,7 @@ class TestCharacteristics:
                                       evidence=10.0, created_at=0,
                                       last_update_ts=0, last_decay_ts=0))
         ms.models = models
-        ms._next_id = len(ms.models)
+        ms.created_total = len(ms.models)
         return ms
 
     def test_discriminative_value_beats_the_mode(self):
@@ -736,7 +735,7 @@ class TestCharacteristics:
         ms = ModelSet(cfg, tables.cardinalities, tables.vocabularies)
         agg = make_agg([10] * 10, [0] * 10)
         ms.models = [create_model(agg, 0, 0)]
-        ms._next_id = 1
+        ms.created_total = 1
         feats = ms.characteristic_features()
         assert feats[0]["ais"] == tables.vocabularies[0][10]
         assert feats[0]["service"] == tables.vocabularies[1][0]
