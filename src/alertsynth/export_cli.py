@@ -22,6 +22,8 @@ from datetime import datetime, timezone
 from importlib.resources import files as pkg_files
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .action_space import (COMPONENTS, Action, ConfigError, MappingTables,
                            WeightConfig, bin_elapsed_index, load_mappings,
                            map_ais_index, map_service_index, maneuver_index)
@@ -250,21 +252,21 @@ def round9(x: float) -> float:
 
 def export_payload(model_set: ModelSet, now: int) -> dict:
     """Snapshot of the live models as a JSON-ready dict."""
-    feats = model_set.characteristic_features()
+    pmfs = [[m.pmf(i) for i in range(len(COMPONENTS))] for m in model_set.models]
+    feats = model_set.characteristic_features(pmfs)
     models = []
-    for m in model_set.models:
-        pmfs = {}
-        for i, name in enumerate(COMPONENTS):
-            vec = m.pmf(i)
-            vocab = model_set.vocabularies[i]
-            pmfs[name] = {vocab[x]: round9(float(vec[x]))
-                          for x in range(len(vocab)) if vec[x] >= PMF_EXPORT_FLOOR}
+    for m, own in zip(model_set.models, pmfs):
+        kept = {}
+        for name, vocab, vec in zip(COMPONENTS, model_set.vocabularies, own):
+            cells = np.flatnonzero(vec >= PMF_EXPORT_FLOOR)
+            kept[name] = {vocab[x]: round9(v)
+                          for x, v in zip(cells.tolist(), vec[cells].tolist())}
         models.append({
             "model_id": m.model_id,
             "created_at": iso_ts(m.created_at),
             "last_update_ts": iso_ts(m.last_update_ts),
             "effective_evidence": round9(m.evidence),
-            "pmf": pmfs,
+            "pmf": kept,
             "characteristic": feats[m.model_id],
         })
     return {"schema": SCHEMA_VERSION, "export_ts": iso_ts(now), "models": models}

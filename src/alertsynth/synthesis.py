@@ -201,6 +201,9 @@ class ModelSet:
                  vocabularies: Sequence[Sequence[str]]) -> None:
         self.config = config
         self.vocabularies = [tuple(v) for v in vocabularies]
+        # each label's position in its vocabulary's sorted order
+        self._label_rank = [np.argsort(np.argsort(np.array(v, dtype=str)))
+                            for v in self.vocabularies]
         self.genealogy: Dict[int, int] = {}   # absorbed id -> surviving id
         self.created_total = 0
         self.merged_total = 0
@@ -335,25 +338,33 @@ class ModelSet:
 
     # -- characteristics ----------------------------------------------------
 
-    def characteristic_features(self) -> Dict[int, Dict[str, str]]:
+    def characteristic_features(
+            self, pmfs: Optional[Sequence[Sequence[np.ndarray]]] = None
+    ) -> Dict[int, Dict[str, str]]:
         """Per model and component, the value that is prominent in this model
         yet rare everywhere else; ties go to the lexicographically first
-        label.  With a single model the plain pmf mode is used."""
-        out: Dict[int, Dict[str, str]] = {}
-        single = len(self.models) == 1
-        for k, model in enumerate(self.models):
-            feats: Dict[str, str] = {}
-            for i, (name, (a, b)) in enumerate(zip(COMPONENTS, self._spans)):
-                own = model.pmf(i)
-                if single:
-                    score = own
-                else:
-                    columns = self._smoothed[:, a:b]
-                    others = np.delete(columns, k, axis=0).max(axis=0)
-                    score = own * -np.log(others)
-                best = score.max()
-                labels = [self.vocabularies[i][x]
-                          for x in np.nonzero(score == best)[0]]
-                feats[name] = min(labels)
-            out[model.model_id] = feats
-        return out
+        label.  With a single model the plain pmf mode is used.  pmfs, when
+        given, are each model's component pmfs in list order."""
+        if not self.models:
+            return {}
+        if pmfs is None:
+            pmfs = [[m.pmf(i) for i in range(len(COMPONENTS))] for m in self.models]
+        feats: List[Dict[str, str]] = [{} for _ in self.models]
+        for i, (name, (a, b)) in enumerate(zip(COMPONENTS, self._spans)):
+            score = np.array([own[i] for own in pmfs])
+            if len(self.models) > 1:
+                # each row's max over the other rows, from running maxima
+                # down to the row above and up to the row below it
+                columns = self._smoothed[:, a:b]
+                above = np.maximum.accumulate(columns, axis=0)
+                below = np.maximum.accumulate(columns[::-1], axis=0)[::-1]
+                others = np.empty_like(columns)
+                others[0], others[-1] = below[1], above[-2]
+                np.maximum(above[:-2], below[2:], out=others[1:-1])
+                score *= -np.log(others)
+            ties = score == score.max(axis=1, keepdims=True)
+            rank = self._label_rank[i]
+            vocab = self.vocabularies[i]
+            for k, x in enumerate(np.where(ties, rank, len(rank)).argmin(axis=1)):
+                feats[k][name] = vocab[x]
+        return {m.model_id: f for m, f in zip(self.models, feats)}

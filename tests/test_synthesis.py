@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alertsynth.action_space import Action, ConfigError, WeightConfig
+from alertsynth.action_space import (COMPONENTS, Action, ConfigError,
+                                     WeightConfig)
 from alertsynth.aggregation import build_aggregate
 from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
                                   admission_bound, create_model, cross_entropy,
@@ -729,6 +730,29 @@ class TestCharacteristics:
 
     def test_empty_set(self):
         assert fresh_set().characteristic_features() == {}
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(services=st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=3,
+                 max_size=3).filter(any), min_size=1, max_size=6))
+    def test_matches_a_scan_of_the_other_rows(self, services):
+        """The running maxima pick what deleting each model's own row and
+        taking the column maxima of the rest picks, ties included."""
+        ms = self.small_set(services)
+        expected = {}
+        for k, m in enumerate(ms.models):
+            feats = {}
+            for i, (name, (a, b)) in enumerate(zip(COMPONENTS, ms._spans)):
+                score = m.pmf(i)
+                if len(ms.models) > 1:
+                    others = np.delete(ms._smoothed[:, a:b], k, axis=0)
+                    score = score * -np.log(others.max(axis=0))
+                feats[name] = min(ms.vocabularies[i][x]
+                                  for x in np.flatnonzero(score == score.max()))
+            expected[m.model_id] = feats
+        assert ms.characteristic_features() == expected
+        pmfs = [[m.pmf(i) for i in range(len(COMPONENTS))] for m in ms.models]
+        assert ms.characteristic_features(pmfs) == expected
 
     def test_real_vocabulary_round_trip(self, tables):
         cfg = SynthConfig()
