@@ -5,12 +5,19 @@ changes: a fixed gap threshold, Gaussian smoothing of alert volume with
 valley detection, and a control chart on log-gaps confirmed by a
 two-sample Kolmogorov-Smirnov test.  A closed run of actions becomes an
 Aggregate carrying per-component empirical pmfs.
+
+Each segmenter also reports a horizon: given its stream's latest alert
+time, the event time past which the open buffer counts as closed, because
+the next alert would cut it anyway (threshold, control chart) or because
+the episode has gone quiet for a whole window (Gaussian).  The pipeline
+closes buffers whose horizon an export boundary has passed.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +50,30 @@ def build_aggregate(actions: Sequence[Action],
                      n=n, t_end=max(a.ts for a in actions))
 
 
+# silences from here on (2**53 us, about 285 years) set no deadline
+FAR_US = 2 ** 53
+
+
+def longest_quiet_us(quiet: Callable[[int], bool]) -> Optional[int]:
+    """Largest silence d in whole microseconds with quiet(d), by bisection,
+    or None when FAR_US is still quiet.  quiet holds at 0 and, once false,
+    stays false."""
+    if quiet(FAR_US):
+        return None
+    lo, hi = 0, FAR_US
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if quiet(mid) else (lo, mid)
+    return lo
+
+
+@lru_cache(maxsize=None)
+def within_us(seconds: float) -> Optional[int]:
+    """Largest d in microseconds with d / 1e6 <= seconds: a gap of d us is
+    not over the limit, one of d + 1 us is."""
+    return longest_quiet_us(lambda d: d / 1e6 <= seconds)
+
+
 class ThresholdSegmenter:
     """Boundary wherever the gap between consecutive actions exceeds tau."""
 
@@ -57,6 +88,11 @@ class ThresholdSegmenter:
             self._buffer = []
         self._buffer.append(action)
         return closed
+
+    def horizon(self, last_ts: int) -> Optional[int]:
+        """last_ts + tau: an alert after it would cut the buffer."""
+        silence = within_us(self.tau) if self._buffer else None
+        return None if silence is None else last_ts + silence
 
     def flush(self) -> List[List[Action]]:
         out = [self._buffer] if self._buffer else []
@@ -91,6 +127,12 @@ class GaussianSegmenter:
                 self._buffer = episodes[-1]
         self._buffer.append(action)
         return closed
+
+    def horizon(self, last_ts: int) -> Optional[int]:
+        """last_ts + window: after a window without alerts the buffered
+        episodes are over."""
+        silence = within_us(self.window) if self._buffer else None
+        return None if silence is None else last_ts + silence
 
     def flush(self) -> List[List[Action]]:
         out = self._extract(self._buffer) if self._buffer else []
@@ -176,16 +218,11 @@ class ControlChartSegmenter:
             return []
         g = max(gap if gap is not None else 0.0, 0.0)
         lg = math.log10(max(g, 1e-6))  # clamp keeps zero gaps finite
-        if self._signals(lg):
-            pooled = self._gaps + [g]
-            recent = pooled[-self.window_n:]
-            earlier = pooled[:-self.window_n]
-            if earlier:
-                d = ks_statistic(recent, earlier)
-                if d > ks_critical(self.ks_alpha, len(recent), len(earlier)):
-                    closed = self._buffer
-                    self._reset([action])
-                    return [closed]
+        limit = self._limit()
+        if limit is not None and lg > limit and self._confirms(self._gaps + [g]):
+            closed = self._buffer
+            self._reset([action])
+            return [closed]
         self._buffer.append(action)
         self._gaps.append(g)
         self._n += 1
@@ -194,11 +231,35 @@ class ControlChartSegmenter:
         self._m2 += delta * (lg - self._mean)
         return []
 
-    def _signals(self, lg: float) -> bool:
+    def horizon(self, last_ts: int) -> Optional[int]:
+        """The end of the first silence that both signals and outlasts
+        every gap in the buffer, when KS confirms a gap ranked largest.
+
+        Past it the next gap signals and is the largest of the pooled
+        gaps, and the KS statistic depends on ranks only, so the cut is
+        decided.  None before window_n gaps or when KS would not confirm."""
+        limit = self._limit()
+        if limit is None or not self._confirms(self._gaps + [math.inf]):
+            return None
+        top = max(self._gaps)
+        silence = longest_quiet_us(
+            lambda d: d / 1e6 <= top or math.log10(max(d / 1e6, 1e-6)) <= limit)
+        return None if silence is None else last_ts + silence
+
+    def _limit(self) -> Optional[float]:
+        """The signal level mean + 3 sd of the log-gaps, once window_n gaps
+        are in; None before."""
         if self._n < self.window_n:
-            return False
+            return None
         sd = math.sqrt(self._m2 / (self._n - 1)) if self._n >= 2 else 0.0
-        return lg > self._mean + 3.0 * sd
+        return self._mean + 3.0 * sd
+
+    def _confirms(self, pooled: List[float]) -> bool:
+        """KS test of the last window_n pooled gaps against the earlier ones."""
+        recent = pooled[-self.window_n:]
+        earlier = pooled[:-self.window_n]
+        return bool(earlier) and ks_statistic(recent, earlier) > ks_critical(
+            self.ks_alpha, len(recent), len(earlier))
 
     def _reset(self, buffer: List[Action]) -> None:
         self._buffer = buffer

@@ -4,10 +4,20 @@ The pipeline is single-threaded: alerts are parsed, mapped to actions,
 assigned to streams, segmented into aggregates, and folded into the model
 set, in queue order.  Every export interval the live models are written to
 models-<ts>.json and one evidence row per model is appended to
-evidence.csv.  The event-time clock (default) drives decay, stream GC, and
-export boundaries from alert timestamps, which makes replays byte-identical;
-wall-time mode schedules exports from the wall clock instead and exists for
-live feeds.
+evidence.csv.
+
+The event-time clock (default) is the largest alert timestamp seen, and it
+drives decay, deadlines and export boundaries, which makes replays
+byte-identical.  At each boundary the stream tracker's deadline queue
+yields the streams whose open segment has passed its horizon and the
+streams idle past idle_timeout; their runs are admitted in (t_end,
+stream_id) order, stamped with the boundary, before retirement and the
+export.  An episode thus reaches the model set within its segmenter's
+horizon plus one export interval of its last alert (tau + interval for the
+threshold segmenter), not at shutdown.  Once a boundary leaves no live
+model and no open stream, the clock skips the empty intervals up to the
+next alert.  Wall-time mode schedules exports from the wall clock instead
+and exists for live feeds.
 """
 
 import argparse
@@ -329,15 +339,30 @@ class Engine:
             while self._next_boundary < alert.ts:
                 self._boundary(self._next_boundary)
                 self._next_boundary += self._interval_us
+                if not self.model_set.models and not self.tracker.states:
+                    # nothing left that a later export could show changing:
+                    # go on from the last boundary before this alert
+                    self._next_boundary = max(
+                        self._next_boundary,
+                        (alert.ts - 1) // self._interval_us * self._interval_us)
         elif time.monotonic() >= self._next_wall:
             self._boundary(max(self.clock, alert.ts))
             self._next_wall = time.monotonic() + self.config.export_interval
+        late = alert.ts < self.clock
         self.clock = max(self.clock, alert.ts)
 
         stream_id, direction, transition, elapsed_us = self.tracker.assign(alert)
         state = self.tracker.states[stream_id]
+        runs = []
         if state.handle is None:
             state.handle = self._new_segmenter()
+        elif late:
+            # a boundary between the clock and the open segment's horizon
+            # would have closed the segment; close it here in the same way
+            # (before this alert the stream's last_ts was elapsed_us lower)
+            horizon = state.handle.horizon(state.last_ts - elapsed_us)
+            if horizon is not None and horizon < self.clock:
+                runs = state.handle.flush()
         port = alert.src_port if direction == "outbound" else alert.dst_port
         gap = None if elapsed_us is None else elapsed_us / 1e6
         action = Action(
@@ -347,7 +372,7 @@ class Engine:
             timebin=bin_elapsed_index(gap),
             ts=alert.ts, stream_id=stream_id, raw_seq=alert.raw_seq)
         self.actions_total += 1
-        for actions in state.handle.feed(action, gap):
+        for actions in runs + state.handle.feed(action, gap):
             self._admit(build_aggregate(actions, self.tables.cardinalities),
                         self.clock)
 
@@ -369,17 +394,25 @@ class Engine:
         self.aggregates_total += 1
 
     def _boundary(self, ts: int) -> None:
-        # idle streams are closed first so their aggregates make this export
-        self._drain(self.tracker.gc(ts, self.config.idle_timeout), ts)
+        # quiet segments and idle streams close first so their aggregates
+        # make this export
+        evicted = self.tracker.gc(ts, self.config.idle_timeout)
+        self._drain(self.tracker.quiet + evicted, ts)
 
     def _drain(self, states, ts: int) -> None:
         """Flush the given streams, build and admit their aggregates one at
-        a time in (t_end, stream_id) order, retire, and export at ts."""
+        a time in (t_end, stream_id) order, retire, and export at ts.
+
+        When ts repeats the last export's stamp and this drain changed the
+        model set, the export is stamped 1 us later so that it is written."""
         runs = [actions for state in states for actions in state.handle.flush()]
         runs.sort(key=lambda run: (max(a.ts for a in run), run[0].stream_id))
         for actions in runs:
             self._admit(build_aggregate(actions, self.tables.cardinalities), ts)
-        self.model_set.retire_pass(ts)
+        retired = self.model_set.retire_pass(ts)
+        if ts == self._last_export_ts and (runs or retired):
+            ts += 1
+            self.clock = max(self.clock, ts)
         self._export(ts)
 
     def _export(self, ts: int) -> None:

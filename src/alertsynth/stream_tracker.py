@@ -4,8 +4,13 @@ A stream ties together the alerts anchored to one external endpoint: the
 alerts it originates (inbound), the replies feeding back to it (outbound),
 and internal continuations of the same maneuver (pivots).  Purely internal
 chains with no qualifying pivot ancestor get synthetic stream keys.
+
+One deadline queue, a min-heap of (time, stream_id), wakes the tracker for
+both kinds of stream deadline: the horizon of the stream's open segment and
+its eviction once idle.  Entries are invalidated lazily; see gc.
 """
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -22,6 +27,7 @@ class StreamState:
     last_src: str
     last_dst: str
     handle: object = None        # open segmenter, owned by the pipeline
+    armed: int = 0               # time of the stream's live queue entry
 
 
 def _direction(src_in: bool, dst_in: bool) -> str:
@@ -44,6 +50,11 @@ class StreamTracker:
         # recently touched its source host (lookups prune stale stamps)
         self._touch_index: Dict[str, Dict[str, int]] = {}
         self._synthetic_seq = 0
+        self._queue: List[Tuple[int, str]] = []
+        self._idle_us: Optional[int] = None   # timeout the queue was armed for
+        # streams whose open segment's horizon the last gc passed; the
+        # pipeline closes their segments
+        self.quiet: List[StreamState] = []
 
     def assign(self, alert: Alert) -> Tuple[str, str, str, Optional[int]]:
         """Assign one alert; returns (stream_id, direction, transition, elapsed_us).
@@ -76,6 +87,10 @@ class StreamTracker:
                 self._touch(state, alert.ts, internal_end)
 
         state.last_ts = max(state.last_ts, alert.ts)
+        if state.armed > state.last_ts:
+            # every deadline of a stream lies at or after its last alert,
+            # so waking there is never too late
+            self._arm(state, state.last_ts)
         if direction != "internal" or transition == "stream_start":
             # a pivot continues the maneuver laterally; the stream's dialogue
             # endpoints stay on the external exchange so the next anchored
@@ -105,7 +120,13 @@ class StreamTracker:
         state = StreamState(stream_id=stream_id, last_ts=alert.ts,
                             last_src=alert.src_ip, last_dst=alert.dst_ip)
         self.states[stream_id] = state
+        self._arm(state, alert.ts)
         return state
+
+    def _arm(self, state: StreamState, ts: int) -> None:
+        """Queue a wake-up for state at ts; any earlier entry goes stale."""
+        heapq.heappush(self._queue, (ts, state.stream_id))
+        state.armed = ts
 
     def _touch(self, state: StreamState, ts: int, *ips: str) -> None:
         """Stamp internal addresses as touched by state's stream."""
@@ -131,11 +152,44 @@ class StreamTracker:
         return self.states[best[1]] if best else None
 
     def gc(self, now: int, idle_timeout: float) -> List[StreamState]:
-        """Evict streams idle longer than idle_timeout seconds."""
+        """Evict streams idle longer than idle_timeout seconds and return
+        them; list in self.quiet the live streams whose open segment's
+        horizon (its handle's horizon(last_ts)) lies before now.
+
+        Neither check scans the stream table: the queue holds for each
+        stream one live wake-up no later than its earliest deadline.  A
+        stream's alert re-arms it at its last_ts when its entry lies later,
+        which leaves that entry stale.  gc pops the entries before now,
+        drops the stale ones (stream gone, or armed at another time) and
+        checks the rest against the stream's deadlines at this moment: an
+        idle stream is evicted, a passed horizon makes the stream quiet,
+        and otherwise the stream is re-armed at its next deadline.  A quiet
+        stream is re-armed at its eviction, since its segment is closed."""
         limit = int(idle_timeout * 1e6)
-        evicted = [s for s in self.states.values() if now - s.last_ts > limit]
-        for state in evicted:
-            del self.states[state.stream_id]
+        if self._idle_us is not None and limit < self._idle_us:
+            # entries armed for a longer timeout may lie past the eviction
+            for state in self.states.values():
+                self._arm(state, state.last_ts)
+        self._idle_us = limit
+        evicted: List[StreamState] = []
+        self.quiet = []
+        while self._queue and self._queue[0][0] < now:
+            ts, stream_id = heapq.heappop(self._queue)
+            state = self.states.get(stream_id)
+            if state is None or state.armed != ts:
+                continue
+            deadline = state.last_ts + limit
+            if deadline < now:
+                del self.states[stream_id]
+                evicted.append(state)
+                continue
+            horizon = (None if state.handle is None
+                       else state.handle.horizon(state.last_ts))
+            if horizon is not None and horizon < now:
+                self.quiet.append(state)
+            elif horizon is not None:
+                deadline = min(deadline, horizon)
+            self._arm(state, deadline)
         if evicted:  # the index holds live streams only
             for ip, entries in list(self._touch_index.items()):
                 for stream_id in [s for s in entries if s not in self.states]:

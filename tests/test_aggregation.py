@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from alertsynth.action_space import Action, ConfigError
-from alertsynth.aggregation import (ControlChartSegmenter, GaussianSegmenter,
-                                    ThresholdSegmenter, build_aggregate,
-                                    gaussian_smooth, ks_critical, ks_statistic,
-                                    make_segmenter)
+from alertsynth.aggregation import (FAR_US, ControlChartSegmenter,
+                                    GaussianSegmenter, ThresholdSegmenter,
+                                    build_aggregate, gaussian_smooth,
+                                    ks_critical, ks_statistic,
+                                    longest_quiet_us, make_segmenter)
 from oracles import (controlchart_boundaries_ref, gaussian_smooth_ref,
                      ks_critical_ref, ks_stat_ref, pmf_by_counting)
 
@@ -261,6 +262,107 @@ class TestControlChartSegmenter:
         out = seg.flush()
         assert len(out) == 1 and [a.raw_seq for a in out[0]] == [0, 1]
         assert seg.flush() == []
+
+
+def at_us(us, seq=0):
+    return Action(ais=0, service=0, maneuver=0, timebin=0, ts=us,
+                  stream_id="s", raw_seq=seq)
+
+
+def replayed(make, history):
+    """A fresh segmenter fed history, a list of (action, gap)."""
+    seg = make()
+    for action, gap in history:
+        seg.feed(action, gap)
+    return seg
+
+
+class TestHorizons:
+    """horizon(last_ts): the event time past which the open buffer counts
+    as closed; for threshold and control chart any later alert cuts."""
+
+    def test_threshold_is_last_plus_tau(self):
+        seg = ThresholdSegmenter(tau=600.0)
+        assert seg.horizon(0) is None
+        seg.feed(at_us(5_000_000), None)
+        assert seg.horizon(5_000_000) == 605_000_000
+        # stream-level: the tracker's last_ts, not the buffer's, is passed
+        assert seg.horizon(9_000_000) == 609_000_000
+        seg.flush()
+        assert seg.horizon(5_000_000) is None
+
+    @pytest.mark.parametrize("tau", [1e-6, 1 / 3, 0.1234567, 599.9999995,
+                                     600.0, 86400.1])
+    def test_threshold_horizon_is_the_edge_of_the_cut(self, tau):
+        history = [(at_us(0), None)]
+        h = replayed(lambda: ThresholdSegmenter(tau), history).horizon(0)
+        at = replayed(lambda: ThresholdSegmenter(tau), history)
+        past = replayed(lambda: ThresholdSegmenter(tau), history)
+        assert at.feed(at_us(h, 1), h / 1e6) == []
+        assert past.feed(at_us(h + 1, 1), (h + 1) / 1e6) == [[at_us(0)]]
+
+    def test_gaussian_is_last_plus_window(self):
+        seg = GaussianSegmenter(bin_width=60.0, sigma_bins=3.0,
+                                valley_frac=0.5, window=3600.0)
+        assert seg.horizon(0) is None
+        seg.feed(at_us(0), None)
+        seg.feed(at_us(30_000_000), 30.0)
+        assert seg.horizon(30_000_000) == 3_630_000_000
+        seg.flush()
+        assert seg.horizon(30_000_000) is None
+
+    def test_controlchart_none_before_window_n_gaps(self):
+        seg = ControlChartSegmenter(window_n=4, ks_alpha=0.9)
+        assert seg.horizon(0) is None
+        seg.feed(at_us(0), None)
+        ts = 0
+        # the recent window (three 1 s gaps and a new largest one) against
+        # the 8 s gap before it: D = 3/4 over the critical value 0.71
+        for k, gap in enumerate([8.0, 1.0, 1.0]):
+            ts += int(gap * 1e6)
+            seg.feed(at_us(ts, k + 1), gap)
+            assert seg.horizon(ts) is None
+        ts += 1_000_000
+        seg.feed(at_us(ts, 4), 1.0)
+        assert seg.horizon(ts) is not None
+
+    def test_controlchart_none_when_ks_would_not_confirm(self):
+        # equal gaps: a largest new gap moves the KS statistic by 1/window_n
+        # only, under the critical value, so no silence decides a cut
+        seg = ControlChartSegmenter(window_n=20, ks_alpha=0.01)
+        seg.feed(at_us(0), None)
+        for k in range(1, 60):
+            seg.feed(at_us(k * 1_000_000, k), 1.0)
+        assert seg.horizon(59_000_000) is None
+        assert seg.feed(at_us(10**15, 60), 10**9) == []
+
+    def test_controlchart_any_alert_past_the_horizon_cuts(self):
+        make = lambda: ControlChartSegmenter(window_n=4, ks_alpha=0.9)
+        seen = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            history, last = [(at_us(0), None)], 0
+            seg = make()
+            seg.feed(*history[0])
+            for k in range(1, 60):
+                h = seg.horizon(last)
+                if h is not None:
+                    seen += 1
+                    assert h >= last
+                    for t in (h + 1, h + 1 + rng.randrange(10**9)):
+                        cut = replayed(make, history).feed(
+                            at_us(t, -1), (t - last) / 1e6)
+                        assert len(cut) == 1
+                gap_us = int(rng.lognormvariate(0.0, 1.5) * 1e6)
+                last += gap_us
+                history.append((at_us(last, k), gap_us / 1e6))
+                seg.feed(*history[-1])
+        assert seen > 100
+
+    def test_longest_quiet_finds_the_edge(self):
+        for edge in (0, 1, 7, 10**6, 10**12, FAR_US - 1):
+            assert longest_quiet_us(lambda d: d <= edge) == edge
+        assert longest_quiet_us(lambda d: d <= FAR_US) is None
 
 
 class TestMakeSegmenter:

@@ -446,8 +446,10 @@ class TestEngine:
         assert engine.counters()["models_live"] == 1
 
     def test_wall_time_export_fires_mid_feed(self, tmp_path, monkeypatch):
-        """A wall-clock export is stamped max(clock, alert ts); a shutdown
-        at the clock of the last export writes no second file or rows."""
+        """A wall-clock export is stamped max(clock, alert ts).  A shutdown
+        at the clock of the last export that admits aggregates stamps its
+        export 1 us later: the last file lists every live model and no
+        (export_ts, model_id) row repeats."""
         wall = [0.0]
         monkeypatch.setattr(export_cli.time, "monotonic", lambda: wall[0])
         engine = Engine(self.config(tmp_path, tmp_path / "unused.json",
@@ -463,11 +465,18 @@ class TestEngine:
         names = [os.path.basename(p) for p in export_files(str(out))]
         assert names == [f"models-{compact_ts(us)}.json" for us in stamps]
         engine.shutdown()
-        assert engine.exports_total == 2
-        assert [os.path.basename(p) for p in export_files(str(out))] == names
+        assert engine.exports_total == 3
+        final = stamps[-1] + 1
+        assert [os.path.basename(p) for p in export_files(str(out))] == (
+            names + [f"models-{compact_ts(final)}.json"])
+        live = [str(m.model_id) for m in engine.model_set.models]
+        assert [str(m["model_id"]) for m in latest_export(str(out))["models"]] == live
+        assert min(engine.assignments) >= 0
         rows = (out / "evidence.csv").read_text(encoding="utf-8").splitlines()
-        assert [row.split(",")[:2] for row in rows[1:]] == [
-            [iso_ts(us), "0"] for us in stamps]
+        keys = [tuple(row.split(",")[:2]) for row in rows[1:]]
+        assert keys == ([(iso_ts(us), "0") for us in stamps]
+                        + [(iso_ts(final), model_id) for model_id in live])
+        assert len(set(keys)) == len(keys)
 
 
 def mostly(common, rare):

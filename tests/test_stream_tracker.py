@@ -205,18 +205,38 @@ HORIZON_S = 100.0
 TRANSITIONS = {"stream_start", "same_src_same_dst", "same_src_new_dst",
                "new_src_same_dst", "src_is_last_dst", "dst_is_last_src",
                "internal_pivot"}
-# ("assign", seconds after the previous op, src, dst) or ("gc", seconds);
-# short steps keep several touches inside the horizon, gc's jumps expire them
+# ("assign", seconds after the previous op, src, dst, seconds the stamp lags
+# the clock, silence of the stream's open segment or None) or ("gc",
+# seconds); short steps keep several touches inside the horizon, gc's jumps
+# expire them.  Internal alerts are never late: the pivot index prunes
+# stamps against the alert's time.
 ASSIGN = st.tuples(st.just("assign"), st.sampled_from([0, 0, 1, 2, 5, 10, 100]),
                    st.sampled_from(INTERNAL + EXTERNAL),
-                   st.sampled_from(INTERNAL + EXTERNAL))
+                   st.sampled_from(INTERNAL + EXTERNAL),
+                   st.sampled_from([0, 0, 0, 3, 60, 150]),
+                   st.sampled_from([None, 0, 20, 60, 150]))
 GC = st.tuples(st.just("gc"), st.sampled_from([0, 1, 50, 99, 100, 101]))
 OPS = st.lists(st.one_of(ASSIGN, ASSIGN, ASSIGN, GC), min_size=20, max_size=60)
 
 
+class Segment:
+    """Stands in for a stream's segmenter: open with a given silence after
+    each alert, closed by flush."""
+
+    def __init__(self) -> None:
+        self.silence_us = None
+
+    def horizon(self, last_ts):
+        return None if self.silence_us is None else last_ts + self.silence_us
+
+    def flush(self):
+        self.silence_us = None
+
+
 class TestTrackerProperties:
     """Random interleavings of assign and gc against a brute-force model
-    kept from the test's own log of touches."""
+    kept from the test's own log of touches and a full scan of the
+    streams' deadlines."""
 
     @settings(derandomize=True, deadline=None)
     @given(ops=OPS, idle_s=st.sampled_from([HORIZON_S / 2, HORIZON_S * 2]))
@@ -226,22 +246,31 @@ class TestTrackerProperties:
         born = {}      # live stream id -> index into log when it started
         last = {}      # live stream id -> latest alert timestamp
         log = []       # (stream id, internal ip, us) per touch, in order
-        ts = 0
+        clock = 0
         for op in ops:
-            ts += op[1] * 1_000_000
+            clock += op[1] * 1_000_000
             if op[0] == "gc":
-                expected = {s for s in born if ts - last[s] > idle_us}
-                evicted = {s.stream_id for s in t.gc(ts, idle_s)}
-                assert evicted == expected
+                evict = {s for s in born if clock - last[s] > idle_us}
+                quiet = {s for s in born if s not in evict
+                         and t.states[s].handle.silence_us is not None
+                         and last[s] + t.states[s].handle.silence_us < clock}
+                evicted = {s.stream_id for s in t.gc(clock, idle_s)}
+                assert evicted == evict
+                assert {s.stream_id for s in t.quiet} == quiet
+                for state in t.quiet:    # the pipeline closes them
+                    state.handle.flush()
                 for s in evicted:
                     del born[s], last[s]
             else:
-                src, dst = op[2], op[3]
+                src, dst, lag, silence = op[2:]
+                internal = src in INTERNAL and dst in INTERNAL
+                ts = clock if internal else clock - lag * 1_000_000
                 pivot = None
-                if src in INTERNAL and dst in INTERNAL:
-                    # log order is time order, so the last stamp is the latest
-                    recent = {s: us for k, (s, ip, us) in enumerate(log)
-                              if ip == src and s in born and k >= born[s]}
+                if internal:
+                    recent = {}
+                    for k, (s, ip, us) in enumerate(log):
+                        if ip == src and s in born and k >= born[s]:
+                            recent[s] = max(recent.get(s, us), us)
                     live = [(us, s) for s, us in recent.items()
                             if ts - us <= horizon_us]
                     pivot = max(live)[1] if live else None
@@ -254,9 +283,20 @@ class TestTrackerProperties:
                         assert sid == pivot
                 if trans == "stream_start":
                     born[sid] = len(log)
-                last[sid] = ts
+                    t.states[sid].handle = Segment()
+                last[sid] = max(last.get(sid, ts), ts)
+                t.states[sid].handle.silence_us = (
+                    None if silence is None else silence * 1_000_000)
                 log += [(sid, ip, ts) for ip in (src, dst) if ip in INTERNAL]
             assert set(t.states) == set(born)
+            assert all(t.states[s].last_ts == last[s] for s in born)
             assert all(stream_id in t.states
                        for entries in t._touch_index.values()
                        for stream_id in entries)
+
+    def test_a_shorter_idle_timeout_still_evicts_exactly(self, tables):
+        t = tracker(tables)
+        t.assign(mk(0, EXT_A, INT_A))
+        assert t.gc(int(10 * 1e6), idle_timeout=3600.0) == []
+        # the wake-up now sits at the 3600 s eviction
+        assert [s.stream_id for s in t.gc(int(20 * 1e6), idle_timeout=5.0)] == [EXT_A]
