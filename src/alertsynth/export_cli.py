@@ -262,21 +262,21 @@ def round9(x: float) -> float:
 
 def export_payload(model_set: ModelSet, now: int) -> dict:
     """Snapshot of the live models as a JSON-ready dict."""
-    pmfs = [[m.pmf(i) for i in range(len(COMPONENTS))] for m in model_set.models]
-    feats = model_set.characteristic_features(pmfs)
+    rows = model_set.pmf_rows()
+    feats = model_set.characteristic_features(rows)
+    kept = [{name: {} for name in COMPONENTS} for _ in model_set.models]
+    at, cols = np.nonzero(rows >= PMF_EXPORT_FLOOR)
+    for k, col, p in zip(at.tolist(), cols.tolist(), rows[at, cols].tolist()):
+        name, label = model_set.column_labels[col]
+        kept[k][name][label] = round9(p)
     models = []
-    for m, own in zip(model_set.models, pmfs):
-        kept = {}
-        for name, vocab, vec in zip(COMPONENTS, model_set.vocabularies, own):
-            cells = np.flatnonzero(vec >= PMF_EXPORT_FLOOR)
-            kept[name] = {vocab[x]: round9(v)
-                          for x, v in zip(cells.tolist(), vec[cells].tolist())}
+    for m, pmfs in zip(model_set.models, kept):
         models.append({
             "model_id": m.model_id,
             "created_at": iso_ts(m.created_at),
             "last_update_ts": iso_ts(m.last_update_ts),
             "effective_evidence": round9(m.evidence),
-            "pmf": kept,
+            "pmf": pmfs,
             "characteristic": feats[m.model_id],
         })
     return {"schema": SCHEMA_VERSION, "export_ts": iso_ts(now), "models": models}

@@ -204,6 +204,10 @@ class ModelSet:
         # each label's position in its vocabulary's sorted order
         self._label_rank = [np.argsort(np.argsort(np.array(v, dtype=str)))
                             for v in self.vocabularies]
+        # (component, label) of each column of the side-by-side rows
+        self.column_labels = [(name, label) for name, vocab
+                              in zip(COMPONENTS, self.vocabularies)
+                              for label in vocab]
         self.genealogy: Dict[int, int] = {}   # absorbed id -> surviving id
         self.created_total = 0
         self.merged_total = 0
@@ -338,33 +342,37 @@ class ModelSet:
 
     # -- characteristics ----------------------------------------------------
 
-    def characteristic_features(
-            self, pmfs: Optional[Sequence[Sequence[np.ndarray]]] = None
-    ) -> Dict[int, Dict[str, str]]:
+    def pmf_rows(self) -> np.ndarray:
+        """Each model's component pmfs side by side, one row per model."""
+        if not self.models:
+            return np.empty((0, len(self._wcol)))
+        return np.array([np.concatenate([m.pmf(i) for i in range(len(COMPONENTS))])
+                         for m in self.models])
+
+    def characteristic_features(self, pmf_rows: Optional[np.ndarray] = None
+                                ) -> Dict[int, Dict[str, str]]:
         """Per model and component, the value that is prominent in this model
         yet rare everywhere else; ties go to the lexicographically first
-        label.  With a single model the plain pmf mode is used.  pmfs, when
-        given, are each model's component pmfs in list order."""
+        label.  With a single model the plain pmf mode is used.  pmf_rows,
+        when given, is what pmf_rows() returns."""
         if not self.models:
             return {}
-        if pmfs is None:
-            pmfs = [[m.pmf(i) for i in range(len(COMPONENTS))] for m in self.models]
+        score = self.pmf_rows() if pmf_rows is None else pmf_rows
+        if len(self.models) > 1:
+            # each row's max over the other rows, from running maxima
+            # down to the row above and up to the row below it
+            rows = self._smoothed
+            above = np.maximum.accumulate(rows, axis=0)
+            below = np.maximum.accumulate(rows[::-1], axis=0)[::-1]
+            others = np.empty_like(rows)
+            others[0], others[-1] = below[1], above[-2]
+            np.maximum(above[:-2], below[2:], out=others[1:-1])
+            score = score * -np.log(others)
         feats: List[Dict[str, str]] = [{} for _ in self.models]
-        for i, (name, (a, b)) in enumerate(zip(COMPONENTS, self._spans)):
-            score = np.array([own[i] for own in pmfs])
-            if len(self.models) > 1:
-                # each row's max over the other rows, from running maxima
-                # down to the row above and up to the row below it
-                columns = self._smoothed[:, a:b]
-                above = np.maximum.accumulate(columns, axis=0)
-                below = np.maximum.accumulate(columns[::-1], axis=0)[::-1]
-                others = np.empty_like(columns)
-                others[0], others[-1] = below[1], above[-2]
-                np.maximum(above[:-2], below[2:], out=others[1:-1])
-                score *= -np.log(others)
-            ties = score == score.max(axis=1, keepdims=True)
-            rank = self._label_rank[i]
-            vocab = self.vocabularies[i]
+        for name, (a, b), rank, vocab in zip(COMPONENTS, self._spans,
+                                             self._label_rank, self.vocabularies):
+            part = score[:, a:b]
+            ties = part == part.max(axis=1, keepdims=True)
             for k, x in enumerate(np.where(ties, rank, len(rank)).argmin(axis=1)):
                 feats[k][name] = vocab[x]
         return {m.model_id: f for m, f in zip(self.models, feats)}

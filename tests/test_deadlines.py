@@ -25,7 +25,8 @@ def replay(lines, tmp_path, entries):
     engine = Engine(build_config({**entries, "export_dir": str(tmp_path)}))
     admissions = []
     shutdown = [False]
-    observe, gc, tracker = engine.model_set.observe, engine.tracker.gc, engine.tracker
+    tracker = engine.tracker
+    observe, gc = engine.model_set.observe, tracker.gc
 
     def observe_logged(agg, now):
         admissions.append((tuple(agg.raw_seqs), now, agg.t_end, shutdown[0]))

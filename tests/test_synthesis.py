@@ -751,8 +751,9 @@ class TestCharacteristics:
                                   for x in np.flatnonzero(score == score.max()))
             expected[m.model_id] = feats
         assert ms.characteristic_features() == expected
-        pmfs = [[m.pmf(i) for i in range(len(COMPONENTS))] for m in ms.models]
-        assert ms.characteristic_features(pmfs) == expected
+        rows = ms.pmf_rows()
+        assert ms.characteristic_features(rows) == expected
+        assert np.array_equal(rows, ms.pmf_rows())
 
     def test_real_vocabulary_round_trip(self, tables):
         cfg = SynthConfig()
