@@ -172,24 +172,29 @@ class StreamTracker:
                 self._arm(state, state.last_ts)
         self._idle_us = limit
         evicted: List[StreamState] = []
-        self.quiet = []
-        while self._queue and self._queue[0][0] < now:
-            ts, stream_id = heapq.heappop(self._queue)
-            state = self.states.get(stream_id)
+        self.quiet = quiet = []
+        queue, states = self._queue, self.states
+        while queue and queue[0][0] < now:
+            ts, stream_id = queue[0]
+            state = states.get(stream_id)
             if state is None or state.armed != ts:
+                heapq.heappop(queue)
                 continue
             deadline = state.last_ts + limit
             if deadline < now:
-                del self.states[stream_id]
+                heapq.heappop(queue)
+                del states[stream_id]
                 evicted.append(state)
                 continue
             horizon = (None if state.handle is None
                        else state.handle.horizon(state.last_ts))
             if horizon is not None and horizon < now:
-                self.quiet.append(state)
-            elif horizon is not None:
-                deadline = min(deadline, horizon)
-            self._arm(state, deadline)
+                quiet.append(state)
+            elif horizon is not None and horizon < deadline:
+                deadline = horizon
+            # re-arm in place of the popped entry: one sift instead of two
+            heapq.heapreplace(queue, (deadline, stream_id))
+            state.armed = deadline
         if evicted:  # the index holds live streams only
             for ip, entries in list(self._touch_index.items()):
                 for stream_id in [s for s in entries if s not in self.states]:
