@@ -8,6 +8,7 @@ timestamp jump.
 
 import json
 from collections import Counter
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,14 @@ class TestTimestampJump:
         lines = [eve_line(i * 1.0) for i in range(600)]
         lines.append(eve_line(20 * 86400.0))
         engine, _, rows = self.exports(tmp_path, lines)
-        stamps = sorted({row.split(",")[0] for row in rows})
-        assert engine.exports_total > 12 * 6
-        assert len(stamps) >= 12 * 6
+        stamps = sorted({datetime.strptime(row.split(",")[0], "%Y-%m-%dT%H:%M:%S.%fZ")
+                         for row in rows})
+        # the model shows in an export every 10 minutes for over a day,
+        # then only the shutdown export remains after the skip
+        steps = {(b - a).total_seconds() for a, b in zip(stamps, stamps[1:-1])}
+        assert steps == {600.0}
+        assert stamps[-2] - stamps[0] > timedelta(days=1)
+        # three exports list no model: 00:10, before the burst is admitted,
+        # the boundary where the model retires, and the last one before
+        # the late alert
+        assert engine.exports_total == len(stamps) + 3
