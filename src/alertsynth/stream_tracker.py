@@ -192,7 +192,7 @@ class StreamTracker:
                 quiet.append(state)
             elif horizon is not None and horizon < deadline:
                 deadline = horizon
-            # re-arm in place of the popped entry: one sift instead of two
+            # heapreplace pops this entry and pushes its successor in one sift
             heapq.heapreplace(queue, (deadline, stream_id))
             state.armed = deadline
         if evicted:  # the index holds live streams only
