@@ -11,9 +11,10 @@ import json
 import os
 import tempfile
 
-from alertsynth import BehaviorSpec, generate_scenario, run, score_recovery
+from alertsynth import run
 from alertsynth.export_cli import build_config
-from alertsynth.synth_harness import STAGE_SIGNATURES
+from alertsynth.synth_harness import (STAGE_SIGNATURES, BehaviorSpec,
+                                      generate_scenario, score_recovery)
 
 BEHAVIOR = BehaviorSpec(
     label="kerb", sources=("203.0.113.50",), targets=("10.0.2.9",),

@@ -3,6 +3,10 @@
 Alerts are parsed from Suricata-style JSON lines, encoded as categorical
 actions, grouped into per-stream episodes, and summarized online into a
 small evolving set of statistical attack models.
+
+The scenario generator and scorer live in alertsynth.synth_harness, which
+the package root does not import, so that an engine process does not load
+what only scenario tooling needs.
 """
 
 from .action_space import (Action, ConfigError, MappingTables, WeightConfig,
@@ -15,20 +19,18 @@ from .synthesis import (Admission, AttackModel, ModelSet, SynthConfig,
                         admission_bound, create_model, cross_entropy, decay,
                         jsd, jsd_component, kl_divergence, model_distance,
                         smoothed_pmf, update_model)
-from .synth_harness import (BehaviorSpec, ScoringError, generate_scenario,
-                            score_recovery)
 from .export_cli import Engine, RunConfig, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "Admission", "Aggregate", "Alert", "AttackModel", "BehaviorSpec",
+    "Action", "Admission", "Aggregate", "Alert", "AttackModel",
     "ConfigError", "Engine", "IngestStats", "MappingTables", "MissingField",
-    "ModelSet", "ParseError", "RunConfig", "ScoringError", "SourceError",
+    "ModelSet", "ParseError", "RunConfig", "SourceError",
     "SourceSpec", "StreamState", "StreamTracker", "SynthConfig", "WeightConfig",
     "admission_bound", "bin_elapsed", "build_aggregate", "create_model",
-    "cross_entropy", "decay", "generate_scenario", "jsd", "jsd_component",
+    "cross_entropy", "decay", "jsd", "jsd_component",
     "kl_divergence", "load_mappings", "make_segmenter", "map_ais",
     "map_service", "model_distance", "open_source", "parse_alert_line", "run",
-    "score_recovery", "smoothed_pmf", "update_model",
+    "smoothed_pmf", "update_model",
 ]

@@ -105,6 +105,10 @@ class GaussianSegmenter:
 
     Actions are buffered over a closed window; when the buffer span exceeds
     the window, episodes are extracted and all but the newest are emitted.
+    A late action stamped more than a window before the buffer's newest
+    action closes the whole buffer, as flush does, and starts the next one,
+    so that one stamp from long ago cannot make a buffer's bins span its
+    lateness.
     """
 
     def __init__(self, bin_width: float, sigma_bins: float, valley_frac: float,
@@ -114,6 +118,7 @@ class GaussianSegmenter:
         self.valley_frac = valley_frac
         self.window = window
         self._buffer: List[Action] = []
+        self._newest = 0          # the buffer's latest stamp, when nonempty
 
     def feed(self, action: Action, gap: Optional[float]) -> List[List[Action]]:
         closed: List[List[Action]] = []
@@ -125,6 +130,9 @@ class GaussianSegmenter:
             else:
                 closed.extend(episodes[:-1])
                 self._buffer = episodes[-1]
+        elif self._buffer and (self._newest - action.ts) / 1e6 > self.window:
+            closed = self.flush()
+        self._newest = max(self._newest, action.ts) if self._buffer else action.ts
         self._buffer.append(action)
         return closed
 

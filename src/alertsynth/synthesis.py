@@ -10,7 +10,9 @@ Jensen-Shannon divergence; starved models are retired.
 Distances are defined on per-component marginal pmfs and combined as a
 weighted sum, so every divergence here reduces to its single-component
 textbook form when one weight is 1.  Those forms take raw pmfs; the weighted
-distances of ModelSet, jsd and model_distance share one row kernel.
+distances of ModelSet, jsd and model_distance share one row kernel, and
+every smoothed pmf, from a single count vector to a model set's whole
+counts matrix, comes from one smoothing kernel, smooth_rows.
 """
 
 import math
@@ -59,13 +61,31 @@ class AttackModel:
         return c / c.sum()
 
 
+def component_layout(sizes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """For count vectors of the given sizes side by side: the start column
+    of each component, and the component of each column."""
+    return (np.cumsum((0, *sizes[:-1])),
+            np.repeat(np.arange(len(sizes)), sizes))
+
+
+def smooth_rows(counts: np.ndarray, layout: Tuple[np.ndarray, np.ndarray],
+                eps: float) -> np.ndarray:
+    """Smoothed pmfs of rows of side-by-side count vectors laid out as
+    component_layout gives: each component normalized, its zero cells
+    floored at eps, renormalized.  Each sum is one reduceat over the
+    component starts, which adds in column order, so a row comes out the
+    same bits whether it is smoothed alone or among others."""
+    starts, component = layout
+    totals = np.add.reduceat(counts, starts, axis=-1)
+    assert (totals > 0).all(), "smoothing needs nonzero count vectors"
+    p = counts / totals.take(component, axis=-1)
+    p[p == 0] = eps
+    return p / np.add.reduceat(p, starts, axis=-1).take(component, axis=-1)
+
+
 def smoothed_pmf(counts: np.ndarray, eps: float) -> np.ndarray:
     """Normalize a count vector, floor zero cells at eps, renormalize."""
-    total = np.add.reduce(counts)
-    assert total > 0, "smoothed_pmf needs a nonzero vector"
-    p = counts / total
-    p[p == 0] = eps
-    return p / np.add.reduce(p)
+    return smooth_rows(counts, component_layout((len(counts),)), eps)
 
 
 def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -95,8 +115,9 @@ def jsd_component(p: np.ndarray, q: np.ndarray) -> float:
 def smoothed_rows(models: Sequence[AttackModel], eps: float
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Per model one row of its smoothed component pmfs side by side, and logs."""
-    smoothed = np.array([np.concatenate([smoothed_pmf(c, eps) for c in m.counts])
-                         for m in models])
+    counts = np.array([np.concatenate(m.counts) for m in models])
+    smoothed = smooth_rows(
+        counts, component_layout([len(c) for c in models[0].counts]), eps)
     return smoothed, np.log(smoothed)
 
 
@@ -185,16 +206,19 @@ class Admission:
 class ModelSet:
     """The evolving model collection; single writer, snapshot readers.
 
-    Two matrices hold one row per live model, in list order, over the
-    components' columns side by side (88 with the packaged tables): smoothed
-    pmfs and their logs.  Each model's counts are its own arrays, which
-    update_model, decay and merges write; scoring is one matvec and a merge
-    scan one JSD row.  The matrices follow the models: assigning models
-    (create, merge, retire) rebuilds them, and an associate re-smooths its
-    row only.  Merging keeps no pairwise matrix: a finished merge pass
-    leaves no pair under the merge threshold, and decay and retirement move
-    no pmf, so after an admission only pairs involving the touched model
-    need checking, and after a merge only pairs involving the keeper.
+    Three matrices hold one row per live model, in list order, over the
+    components' columns side by side (88 with the packaged tables): counts,
+    smoothed pmfs and their logs.  A live model's counts are views of its
+    counts row, so update_model, decay and merges write the matrix in place;
+    scoring is one matvec and a merge scan one JSD row.  The matrices follow
+    the models: assigning models (create, merge, retire) copies the counts
+    into a fresh matrix, re-points the views and smooths every row, and an
+    associate re-smooths its own row in one smooth_rows call.  Models that
+    leave the set keep views of the old matrix.  Merging keeps no pairwise
+    matrix: a finished merge pass leaves no pair under the merge threshold,
+    and decay and retirement move no pmf, so after an admission only pairs
+    involving the touched model need checking, and after a merge only pairs
+    involving the keeper.
     """
 
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
@@ -218,6 +242,7 @@ class ModelSet:
         self._wcol = np.repeat(config.weights.vector, cardinalities)
         edges = np.cumsum((0, *cardinalities)).tolist()
         self._spans = list(zip(edges, edges[1:]))   # each component's columns
+        self._layout = component_layout(cardinalities)
         self.models = []
 
     @property
@@ -226,13 +251,16 @@ class ModelSet:
 
     @models.setter
     def models(self, models: List[AttackModel]) -> None:
-        """Store the list and rebuild the smoothed rows and their logs."""
+        """Store the list, copy the counts into a fresh matrix, re-point each
+        model's counts at its row, and smooth every row."""
         self._models = models
-        if models:
-            self._smoothed, self._logq = smoothed_rows(
-                models, self.config.smoothing_eps)
-        else:
-            self._smoothed = self._logq = np.empty((0, len(self._wcol)))
+        self._counts = np.empty((len(models), len(self._wcol)))
+        for m, row in zip(models, self._counts):
+            np.concatenate(m.counts, out=row)
+            m.counts = [row[a:b] for a, b in self._spans]
+        self._smoothed = smooth_rows(self._counts, self._layout,
+                                     self.config.smoothing_eps)
+        self._logq = np.log(self._smoothed)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -253,7 +281,7 @@ class ModelSet:
         if not self.models:
             return None
         dist = cross_entropy_rows(self._logq, self._wcol, agg.vec)
-        k = int(np.argmin(dist))  # first hit = lowest id; list is id-sorted
+        k = int(dist.argmin())  # first hit = lowest id; list is id-sorted
         return self.models[k], float(dist[k])
 
     def admit(self, h_star: Optional[float]) -> str:
@@ -271,8 +299,8 @@ class ModelSet:
             model = best[0]
             update_model(model, agg, now, self.config)
             k = self.models.index(model)      # re-smooth only this row
-            np.concatenate([smoothed_pmf(c, self.config.smoothing_eps)
-                            for c in model.counts], out=self._smoothed[k])
+            self._smoothed[k:k + 1] = smooth_rows(
+                self._counts[k:k + 1], self._layout, self.config.smoothing_eps)
             np.log(self._smoothed[k], out=self._logq[k])
             action = "associate"
         else:
@@ -301,7 +329,7 @@ class ModelSet:
             for k in rows:
                 row = jsd_rows(self._smoothed, self._logq, self._wcol, k)
                 row[k] = np.inf
-                j = int(np.argmin(row))
+                j = int(row.argmin())
                 best = min(best, (float(row[j]), min(j, k), max(j, k)))
             dist, i, j = best
             if not dist < self.config.merge_threshold:

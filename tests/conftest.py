@@ -16,10 +16,11 @@ from typing import Dict, List
 
 import pytest
 
-from alertsynth import BehaviorSpec, generate_scenario, load_mappings
+from alertsynth import load_mappings
 from alertsynth.export_cli import Engine, RunConfig, build_config, run
 from alertsynth.ingest import open_source
-from alertsynth.synth_harness import STAGE_SIGNATURES
+from alertsynth.synth_harness import (STAGE_SIGNATURES, BehaviorSpec,
+                                      generate_scenario)
 
 
 def sigs(*stages: str):

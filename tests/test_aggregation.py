@@ -180,6 +180,32 @@ class TestGaussianSegmenter:
         seg.feed(mk(0.0), None)
         assert [len(e) for e in seg.flush()] == [1]
 
+    def test_far_late_actions_close_the_buffer_first(self):
+        """A line a year late and one from year 1 each close the open
+        buffer and start their own, so no extraction bins more than the
+        window's worth of cells."""
+        seg = GaussianSegmenter(**self.kwargs())
+        binned = []
+        extract = seg._extract
+
+        def spy(actions):
+            ts = [a.ts for a in actions]
+            binned.append((max(ts) - min(ts)) / 1e6 // seg.bin_width + 1)
+            return extract(actions)
+
+        seg._extract = spy
+        t0 = 1_740_873_600.0                    # 2025-03-02
+        year_1 = -62_135_596_799.0
+        stamps = [t0, t0 + 1, t0 + 2, t0 - 365 * 86400, year_1, year_1 + 1,
+                  t0 + 3]
+        emitted = []
+        for k, ts in enumerate(stamps):
+            emitted.extend(seg.feed(mk(ts, seq=k), None if k == 0 else 1.0))
+        emitted.extend(seg.flush())
+        assert [[a.raw_seq for a in e] for e in emitted] == [
+            [0, 1, 2], [3], [4, 5], [6]]
+        assert binned and max(binned) <= seg.window / seg.bin_width + 1
+
 
 class TestKolmogorovSmirnov:
     def test_statistic_matches_scipy(self):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -513,15 +515,19 @@ def mostly(common, rare):
     return st.integers(0, 3).flatmap(lambda k: rare if k == 0 else common)
 
 
-# Timestamps within two days of T0 (or one hour, for bursts) in any order,
-# as epoch seconds or ISO text, or unusable.  Not the unbounded timestamps
-# of test_ingest: a Gaussian buffer bins its whole time span, so one late
-# record from year 1 in an open buffer would ask for some 10**9 bins.
-NEAR_T0 = st.one_of(st.integers(-2 * 86400 * 10**6, 2 * 86400 * 10**6),
-                    st.integers(-3600 * 10**6, 3600 * 10**6)).map(
+# Timestamps within two days of T0 (or one hour, for bursts), or any time
+# from year 1 up to T0, in any order, as epoch seconds or ISO text, or
+# unusable.  The clock only moves forward, so a far-past stamp is a late
+# record unless no later stamp came before it, and reaches open buffers: a
+# Gaussian buffer bins its time span, so without its late-record rule one
+# from year 1 would ask for some 10**9 bins.  Each forward jump of the clock
+# costs a bounded catch-up of a few dozen exports.
+STAMPS_US = st.one_of(st.integers(-2 * 86400 * 10**6, 2 * 86400 * 10**6),
+                    st.integers(-3600 * 10**6, 3600 * 10**6),
+                    st.integers(-62_135_596_799 * 10**6 - T0_US, 0)).map(
     lambda d: T0_US + d)
 ENGINE_TIMESTAMPS = mostly(
-    st.one_of(NEAR_T0.map(lambda us: us / 1e6), NEAR_T0.map(iso_ts)),
+    st.one_of(STAMPS_US.map(lambda us: us / 1e6), STAMPS_US.map(iso_ts)),
     st.one_of(st.none(), st.booleans(), st.sampled_from(["", "soon", math.nan])))
 # a few recurring hosts, inside and outside the homenet, so that streams,
 # replies and pivots recur
@@ -568,7 +574,8 @@ class TestEngineProperties:
                 fh.write("".join(line + "\n" for line in lines))
             for segmenter in ("threshold", "gaussian", "controlchart"):
                 out = os.path.join(workdir, segmenter)
-                # hourly exports: up to 96 over the four days of NEAR_T0
+                # hourly exports: up to 96 over the four days near T0,
+                # plus those of one catch-up jump from the far past
                 engine = run_engine(build_config({
                     "source": f"file:{alerts}", "export_dir": out,
                     "segmenter": segmenter, "export_interval": "1h"}))
@@ -668,3 +675,14 @@ class TestMain:
         conf.write_text("gravity = 9.8\n", encoding="utf-8")
         assert main(["--config", str(conf)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_engine_import_leaves_out_the_scenario_generator(self):
+        """The engine does not load the generator, nor numpy.random with it."""
+        probe = ("import sys, alertsynth.export_cli; "
+                 "print(sorted({'alertsynth.synth_harness', 'numpy.random'}"
+                 " & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout.strip() == "[]"

@@ -11,10 +11,11 @@ from alertsynth.action_space import (COMPONENTS, Action, ConfigError,
                                      WeightConfig)
 from alertsynth.aggregation import build_aggregate
 from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
-                                  admission_bound, create_model, cross_entropy,
+                                  admission_bound, component_layout,
+                                  create_model, cross_entropy,
                                   decay, jsd, jsd_component, jsd_rows,
-                                  kl_divergence, model_distance, smoothed_pmf,
-                                  smoothed_rows, update_model)
+                                  kl_divergence, model_distance, smooth_rows,
+                                  smoothed_pmf, update_model)
 from oracles import (admission_bound_ref, cross_entropy_ref, decay_ref,
                      jsd_component_ref, kl_ref, model_distance_ref,
                      model_jsd_ref, smoothed_ref)
@@ -67,6 +68,17 @@ def fresh_set(**overrides):
     return ModelSet(cfg, CARDS, VOCABS)
 
 
+def assert_counts_are_matrix_views(ms, gone=()):
+    """One counts row per live model, equal to its counts, which are views
+    of the live matrix; models that left the set no longer alias it."""
+    assert ms._counts.shape == (len(ms.models), sum(CARDS))
+    for m, row in zip(ms.models, ms._counts):
+        assert np.array_equal(row, np.concatenate(m.counts))
+        assert all(np.shares_memory(c, ms._counts) for c in m.counts)
+    for m in gone:
+        assert not any(np.shares_memory(c, ms._counts) for c in m.counts)
+
+
 def jsd_matrix(ms):
     """Pairwise JSD of the set's stored rows, one jsd_rows call per row."""
     return np.array([jsd_rows(ms._smoothed, ms._logq, ms._wcol, k)
@@ -103,6 +115,12 @@ class TestSmoothedPmf:
     def test_zero_vector_is_contract_violation(self):
         with pytest.raises(AssertionError):
             smoothed_pmf(np.zeros(4), EPS)
+
+    def test_zero_component_of_a_row_is_contract_violation(self):
+        counts = np.ones((3, sum(CARDS)))
+        counts[1, 12:57] = 0.0
+        with pytest.raises(AssertionError):
+            smooth_rows(counts, component_layout(CARDS), EPS)
 
 
 class TestDistances:
@@ -601,18 +619,22 @@ class TestMergeScanEquivalence:
 
 
 class TestRowsTrackModels:
-    """The two row matrices are state that follows the model list: one row
-    per model, equal to a fresh smoothing of every model, after every
+    """The three row matrices are state that follows the model list: one
+    row per model, counts that the models view, and smoothed rows equal to
+    the oracle's smoothing of each model's components, after every
     admission, merge and retirement."""
 
-    def assert_rows_match(self, ms):
+    def assert_rows_match(self, ms, gone=()):
         eps = ms.config.smoothing_eps
         assert ms._smoothed.shape == ms._logq.shape == (len(ms.models),
                                                         sum(CARDS))
-        if ms.models:
-            smoothed, logq = smoothed_rows(ms.models, eps)
-            assert np.allclose(ms._smoothed, smoothed, rtol=1e-12, atol=0)
-            assert np.allclose(ms._logq, logq, rtol=1e-12, atol=0)
+        assert_counts_are_matrix_views(ms, gone)
+        for m, smoothed, logq in zip(ms.models, ms._smoothed, ms._logq):
+            for c, (a, b) in zip(m.counts, ms._spans):
+                ref = smoothed_ref(c.tolist(), eps)
+                assert np.allclose(smoothed[a:b], ref, rtol=1e-12, atol=0)
+                # a relative error in a pmf is an absolute one in its log
+                assert np.allclose(logq[a:b], np.log(ref), rtol=0, atol=1e-12)
 
     def test_rows_follow_observe_and_retire(self):
         merged = retired = 0
@@ -622,15 +644,29 @@ class TestRowsTrackModels:
             self.assert_rows_match(ms)
             now = 0
             for _ in range(40):
+                before = list(ms.models)
                 ms.observe(nearby_agg(rng, now), now)
-                self.assert_rows_match(ms)
+                self.assert_rows_match(
+                    ms, [m for m in before if m not in ms.models])
                 if rng.random() < 0.2:
-                    ms.retire_pass(now)
-                    self.assert_rows_match(ms)
+                    self.assert_rows_match(ms, ms.retire_pass(now))
                 now += rng.randint(0, int(1200 * 1e6))
             merged += ms.merged_total
             retired += ms.retired_total
         assert merged >= 20 and retired >= 1
+
+    def test_rebuilt_rows_equal_resmoothed_rows(self):
+        """An associate's one-row smoothing gives the bits a rebuild of the
+        whole matrix would."""
+        rng = random.Random(5)
+        ms = fresh_set(merge_threshold=0.3, ewma_window=3600.0)
+        now = 0
+        for _ in range(60):
+            ms.observe(nearby_agg(rng, now), now)
+            rebuilt = smooth_rows(ms._counts, ms._layout, ms.config.smoothing_eps)
+            assert np.array_equal(ms._smoothed, rebuilt)
+            now += rng.randint(0, int(1200 * 1e6))
+        assert ms.created_total < 60    # most admissions associated
 
     def test_assignment_rebuilds_rows(self):
         ms = fresh_set()
@@ -639,7 +675,7 @@ class TestRowsTrackModels:
         ms.models = [a, b]
         self.assert_rows_match(ms)
         ms.models = [b]
-        self.assert_rows_match(ms)
+        self.assert_rows_match(ms, [a])
         assert ms.best_model(make_agg([1]))[0] is b
         ms.models = []
         self.assert_rows_match(ms)
@@ -668,12 +704,15 @@ class TestModelSetProperties:
         now = 0
         for kind, dt_s, rows in ops:
             now += dt_s * 1_000_000
+            before = list(ms.models)
             if kind == "observe":
                 ms.observe(make_agg(*map(list, zip(*rows)), ts=now / 1e6), now)
             elif kind == "retire":
                 retired |= {m.model_id for m in ms.retire_pass(now)}
             else:
                 ms.decay_all(now)
+            assert_counts_are_matrix_views(
+                ms, [m for m in before if m not in ms.models])
             for a, b in ms._spans:
                 sums = ms._smoothed[:, a:b].sum(axis=1)
                 assert np.all(np.abs(sums - 1.0) <= 1e-12)
