@@ -150,6 +150,14 @@ class GaussianSegmenter:
     def _extract(self, actions: List[Action]) -> List[List[Action]]:
         ts = np.array([a.ts for a in actions], dtype=np.int64)
         bins = ((ts - ts.min()) / 1e6 // self.bin_width).astype(int)
+        # empty bins out of the kernel's reach of any action smooth to 0,
+        # and one such bin cuts where a longer run of them does: shorten
+        # every longer run to one, so that the bins grow with the actions
+        # and not with the time they span
+        occupied = np.unique(bins)
+        longest = 2 * kernel_reach(self.sigma_bins) + 2
+        excess = np.maximum(np.diff(occupied, prepend=0) - longest, 0)
+        bins -= np.cumsum(excess)[np.searchsorted(occupied, bins)]
         counts = np.bincount(bins)
         smoothed = gaussian_smooth(counts, self.sigma_bins)
         cut_bins = self._valleys(smoothed)
@@ -176,10 +184,15 @@ class GaussianSegmenter:
         return accepted
 
 
+def kernel_reach(sigma_bins: float) -> int:
+    """Half-width in bins of gaussian_smooth's kernel (+/-4 sigma)."""
+    return int(4.0 * sigma_bins + 0.5)
+
+
 def gaussian_smooth(counts: np.ndarray, sigma_bins: float) -> np.ndarray:
     """Convolve with a normalized Gaussian kernel truncated at +/-4 sigma,
     zero padding at the edges."""
-    lw = int(4.0 * sigma_bins + 0.5)
+    lw = kernel_reach(sigma_bins)
     x = np.arange(-lw, lw + 1, dtype=float)
     kernel = np.exp(-(x * x) / (2.0 * sigma_bins * sigma_bins))
     kernel /= kernel.sum()

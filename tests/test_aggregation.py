@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from alertsynth import aggregation
 from alertsynth.action_space import Action, ConfigError
 from alertsynth.aggregation import (FAR_US, ControlChartSegmenter,
                                     GaussianSegmenter, ThresholdSegmenter,
@@ -180,31 +181,57 @@ class TestGaussianSegmenter:
         seg.feed(mk(0.0), None)
         assert [len(e) for e in seg.flush()] == [1]
 
-    def test_far_late_actions_close_the_buffer_first(self):
+    def test_far_late_actions_close_the_buffer_first(self, monkeypatch):
         """A line a year late and one from year 1 each close the open
-        buffer and start their own, so no extraction bins more than the
-        window's worth of cells."""
-        seg = GaussianSegmenter(**self.kwargs())
+        buffer and start their own; two bursts a year behind, then a
+        current line, keep the newest burst beside that line.  No
+        extraction bins more than the window's worth of cells."""
         binned = []
-        extract = seg._extract
 
-        def spy(actions):
-            ts = [a.ts for a in actions]
-            binned.append((max(ts) - min(ts)) / 1e6 // seg.bin_width + 1)
-            return extract(actions)
+        def spy(counts, sigma_bins):
+            binned.append(len(counts))
+            return gaussian_smooth(counts, sigma_bins)
 
-        seg._extract = spy
+        monkeypatch.setattr(aggregation, "gaussian_smooth", spy)
+        seg = GaussianSegmenter(**self.kwargs())
         t0 = 1_740_873_600.0                    # 2025-03-02
         year_1 = -62_135_596_799.0
-        stamps = [t0, t0 + 1, t0 + 2, t0 - 365 * 86400, year_1, year_1 + 1,
-                  t0 + 3]
+        year = 365 * 86400.0
+        stamps = [t0, t0 + 1, t0 + 2, t0 - year, year_1, year_1 + 1, t0 + 3,
+                  t0 - year, t0 - year + 1, t0 - year + 3600, t0 + 4, t0 + 5]
         emitted = []
         for k, ts in enumerate(stamps):
             emitted.extend(seg.feed(mk(ts, seq=k), None if k == 0 else 1.0))
         emitted.extend(seg.flush())
         assert [[a.raw_seq for a in e] for e in emitted] == [
-            [0, 1, 2], [3], [4, 5], [6]]
+            [0, 1, 2], [3], [4, 5], [6], [7, 8], [9], [10, 11]]
         assert binned and max(binned) <= seg.window / seg.bin_width + 1
+
+    @pytest.mark.parametrize("sigma_bins", [0.5, 3.0, 12.0])
+    def test_long_silences_cut_as_when_binned_in_full(self, sigma_bins):
+        """Shortening silences out of the kernel's reach gives the episodes
+        that binning the buffer's whole span gives."""
+        seg = GaussianSegmenter(bin_width=60.0, sigma_bins=sigma_bins,
+                                valley_frac=0.5, window=21600.0)
+
+        def full_span_episodes(actions):
+            ts = np.array([a.ts for a in actions], dtype=np.int64)
+            bins = ((ts - ts.min()) / 1e6 // seg.bin_width).astype(int)
+            cuts = seg._valleys(gaussian_smooth(np.bincount(bins), sigma_bins))
+            episodes = [[] for _ in range(len(cuts) + 1)]
+            for action, ep in zip(actions, np.searchsorted(cuts, bins)):
+                episodes[ep].append(action)
+            return [ep for ep in episodes if ep]
+
+        rng = random.Random(11)
+        for _ in range(200):
+            t, actions = 0.0, []
+            for k in range(rng.randint(1, 40)):
+                actions.append(mk(t, seq=k))
+                t += rng.choice([rng.random() * 120, rng.random() * 3600,
+                                 rng.random() * 86400])
+            rng.shuffle(actions)
+            assert seg._extract(actions) == full_span_episodes(actions)
 
 
 class TestKolmogorovSmirnov:
