@@ -30,7 +30,7 @@ LINES = [
 def main():
     cfg = RunConfig()
     tables = load_mappings(cfg.ais_map, cfg.port_table, cfg.homenet)
-    tracker = StreamTracker(tables.homenet, cfg.pivot_horizon)
+    tracker = StreamTracker(tables.homenet, cfg.pivot_horizon, cfg.idle_timeout)
 
     print("alert -> (intent, service, maneuver, time bin)\n")
     for seq, line in enumerate(LINES):

@@ -8,6 +8,7 @@ fields onto them.
 """
 
 import ipaddress
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -87,8 +88,8 @@ class WeightConfig:
     @classmethod
     def normalized(cls, w_a: float, w_s: float, w_v: float, w_t: float) -> "WeightConfig":
         raw = (w_a, w_s, w_v, w_t)
-        if any(w < 0 for w in raw):
-            raise ConfigError(f"negative component weight in {raw}")
+        if not all(0 <= w < math.inf for w in raw):
+            raise ConfigError(f"negative or non-finite component weight in {raw}")
         total = sum(raw)
         if total <= 0:
             raise ConfigError("component weights sum to zero")

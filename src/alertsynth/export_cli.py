@@ -97,9 +97,8 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        self.synth  # building the SynthConfig checks its fields
         checks = [
-            (self.sigma_bins > 0, "sigma_bins must be positive"),
+            (0 < self.sigma_bins < math.inf, "sigma_bins must be finite and positive"),
             (0 < self.valley_frac <= 1, "valley_frac must be in (0, 1]"),
             (self.window_n >= 2, "window_n must be at least 2"),
             (0 < self.ks_alpha < 1, "ks_alpha must be in (0, 1)"),
@@ -117,6 +116,7 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        self.synth  # building the SynthConfig checks its fields
 
     @property
     def synth(self) -> SynthConfig:
@@ -246,8 +246,9 @@ def build_config(entries: Dict[str, str]) -> RunConfig:
 
 def iso_ts(us: int) -> str:
     sec, rem = divmod(us, 1_000_000)
-    top = datetime.fromtimestamp(sec, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
-    return f"{top}.{rem:06d}Z"
+    t = datetime.fromtimestamp(sec, tz=timezone.utc)
+    # strftime's %Y does not zero-pad years below 1000
+    return f"{t.year:04d}-{t:%m-%dT%H:%M:%S}.{rem:06d}Z"
 
 
 def compact_ts(us: int) -> str:
@@ -333,7 +334,8 @@ class Engine:
         self.tables: MappingTables = load_mappings(
             config.ais_map, config.port_table, config.homenet,
             config.ais_categories)
-        self.tracker = StreamTracker(self.tables.homenet, config.pivot_horizon)
+        self.tracker = StreamTracker(self.tables.homenet, config.pivot_horizon,
+                                     config.idle_timeout)
         self.model_set = ModelSet(config.synth, self.tables.cardinalities,
                                   self.tables.vocabularies)
         self.stats = IngestStats()
@@ -421,7 +423,7 @@ class Engine:
     def _boundary(self, ts: int) -> None:
         # quiet segments and idle streams close first so their aggregates
         # make this export
-        evicted = self.tracker.gc(ts, self.config.idle_timeout)
+        evicted = self.tracker.gc(ts)
         self._drain(self.tracker.quiet + evicted, ts)
 
     def _drain(self, states, ts: int) -> None:

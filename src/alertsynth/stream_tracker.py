@@ -41,9 +41,11 @@ def _direction(src_in: bool, dst_in: bool) -> str:
 class StreamTracker:
     """Owns the stream table; single pipeline stage, no concurrent mutation."""
 
-    def __init__(self, homenet: Homenet, pivot_horizon: float) -> None:
+    def __init__(self, homenet: Homenet, pivot_horizon: float,
+                 idle_timeout: float) -> None:
         self.homenet = homenet
         self.pivot_horizon_us = int(pivot_horizon * 1e6)
+        self.idle_timeout_us = int(idle_timeout * 1e6)
         self.states: Dict[str, StreamState] = {}
         # internal ip -> {live stream_id: last_touch_us}, the one record of
         # what each stream touched; lets a pivot alert find every stream that
@@ -51,7 +53,6 @@ class StreamTracker:
         self._touch_index: Dict[str, Dict[str, int]] = {}
         self._synthetic_seq = 0
         self._queue: List[Tuple[int, str]] = []
-        self._idle_us: Optional[int] = None   # timeout the queue was armed for
         # streams whose open segment's horizon the last gc passed; the
         # pipeline closes their segments
         self.quiet: List[StreamState] = []
@@ -151,10 +152,10 @@ class StreamTracker:
             del self._touch_index[ip]
         return self.states[best[1]] if best else None
 
-    def gc(self, now: int, idle_timeout: float) -> List[StreamState]:
-        """Evict streams idle longer than idle_timeout seconds and return
-        them; list in self.quiet the live streams whose open segment's
-        horizon (its handle's horizon(last_ts)) lies before now.
+    def gc(self, now: int) -> List[StreamState]:
+        """Evict streams idle longer than the idle timeout and return them;
+        list in self.quiet the live streams whose open segment's horizon
+        (its handle's horizon(last_ts)) lies before now.
 
         Neither check scans the stream table: the queue holds for each
         stream one live wake-up no later than its earliest deadline.  A
@@ -165,12 +166,7 @@ class StreamTracker:
         idle stream is evicted, a passed horizon makes the stream quiet,
         and otherwise the stream is re-armed at its next deadline.  A quiet
         stream is re-armed at its eviction, since its segment is closed."""
-        limit = int(idle_timeout * 1e6)
-        if self._idle_us is not None and limit < self._idle_us:
-            # entries armed for a longer timeout may lie past the eviction
-            for state in self.states.values():
-                self._arm(state, state.last_ts)
-        self._idle_us = limit
+        limit = self.idle_timeout_us
         evicted: List[StreamState] = []
         self.quiet = quiet = []
         queue, states = self._queue, self.states

@@ -27,7 +27,7 @@ from .aggregation import Aggregate
 
 @dataclass
 class SynthConfig:
-    """Knobs of the synthesis stage; all positive, gamma in (0, 1]."""
+    """Knobs of the synthesis stage; all finite and positive, gamma in (0, 1]."""
 
     gamma: float = 2.0 / 3.0
     weights: WeightConfig = field(
@@ -41,8 +41,8 @@ class SynthConfig:
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         for name in ("ewma_window", "merge_threshold", "retire_floor", "smoothing_eps"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
 
 
 @dataclass(eq=False)
@@ -372,10 +372,9 @@ class ModelSet:
 
     def pmf_rows(self) -> np.ndarray:
         """Each model's component pmfs side by side, one row per model."""
-        if not self.models:
-            return np.empty((0, len(self._wcol)))
-        return np.array([np.concatenate([m.pmf(i) for i in range(len(COMPONENTS))])
-                         for m in self.models])
+        return np.concatenate([c / c.sum(axis=1, keepdims=True) for c in
+                               (self._counts[:, a:b] for a, b in self._spans)],
+                              axis=1)
 
     def characteristic_features(self, pmf_rows: Optional[np.ndarray] = None
                                 ) -> Dict[int, Dict[str, str]]:

@@ -33,8 +33,8 @@ def replay(lines, tmp_path, entries):
         admissions.append((tuple(agg.raw_seqs), now, agg.t_end, shutdown[0]))
         return observe(agg, now)
 
-    def gc_checked(now, idle_timeout):
-        limit = int(idle_timeout * 1e6)
+    def gc_checked(now):
+        limit = int(engine.config.idle_timeout * 1e6)
         states = list(tracker.states.values())
         evict = {s.stream_id for s in states if now - s.last_ts > limit}
         quiet = set()
@@ -42,7 +42,7 @@ def replay(lines, tmp_path, entries):
             horizon = s.handle.horizon(s.last_ts)
             if s.stream_id not in evict and horizon is not None and horizon < now:
                 quiet.add(s.stream_id)
-        evicted = gc(now, idle_timeout)
+        evicted = gc(now)
         assert {s.stream_id for s in evicted} == evict
         assert {s.stream_id for s in tracker.quiet} == quiet
         return evicted

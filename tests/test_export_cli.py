@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from alertsynth.export_cli import (EVIDENCE_HEADER, Engine, RunConfig,
                                    parse_duration, parse_ratio, parse_source,
                                    parse_weights, render_export, round9, run)
 from alertsynth.ingest import (MissingField, ParseError, SourceSpec,
-                               parse_alert_line)
+                               parse_alert_line, parse_timestamp)
 from conftest import export_files, latest_export, run_engine
 from test_ingest import ADDRESSES, JSON_VALUES
 
@@ -30,7 +31,6 @@ def eve_line(offset_s, src="198.51.100.9", dst="10.0.0.5", sport=50000,
              dport=80, proto="TCP", sig=2400001, text="ET SCAN probe"):
     us = T0_US + int(offset_s * 1e6)
     sec, rem = divmod(us, 1_000_000)
-    from datetime import datetime, timezone
     stamp = datetime.fromtimestamp(sec, tz=timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%S")
     return json.dumps({
@@ -77,7 +77,8 @@ class TestParseWeights:
         w = parse_weights("3, 3, 3, 1")
         assert w.vector == pytest.approx((0.3, 0.3, 0.3, 0.1))
 
-    @pytest.mark.parametrize("text", ["1,1", "a,b,c,d", "1,2,3,4,5"])
+    @pytest.mark.parametrize("text", ["1,1", "a,b,c,d", "1,2,3,4,5",
+                                      "nan,1,1,1", "1,1,1,inf"])
     def test_bad(self, text):
         with pytest.raises(ConfigError):
             parse_weights(text)
@@ -191,6 +192,8 @@ class TestRunConfigValidation:
         {"segmenter": "fourier"}, {"clock_mode": "lamport"},
         {"window_n": 1}, {"tau": -1.0}, {"ks_alpha": 1.0},
         {"source": SourceSpec(kind="carrier-pigeon")},
+        {"sigma_bins": math.inf}, {"smoothing_eps": math.inf},
+        {"merge_threshold": math.inf},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -208,6 +211,15 @@ class TestFormatting:
     def test_compact_ts(self):
         assert compact_ts(T0_US) == "20250302T000000000000Z"
         assert compact_ts(T0_US + 1_234_567) == "20250302T000001234567Z"
+        assert compact_ts(-46_000_000_000 * 10**6) == "05120426T141320000000Z"
+
+    @pytest.mark.parametrize("year", [1, 512, 999, 1000, 9999])
+    def test_iso_ts_round_trips_every_year(self, year):
+        dt = datetime(year, 7, 4, 3, 2, 1, 123456, tzinfo=timezone.utc)
+        us = (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(
+            microseconds=1)
+        assert iso_ts(us).startswith(f"{year:04d}-07-04T03:02:01.123456")
+        assert parse_timestamp(iso_ts(us)) == us
 
     def test_round9(self):
         assert round9(0.123456789123) == 0.123456789

@@ -22,8 +22,8 @@ def mk(ts_s, src, dst):
                  raw_seq=0)
 
 
-def tracker(tables, horizon=3600.0):
-    return StreamTracker(tables.homenet, horizon)
+def tracker(tables, horizon=3600.0, idle_timeout=3600.0):
+    return StreamTracker(tables.homenet, horizon, idle_timeout)
 
 
 class TestDirection:
@@ -153,7 +153,7 @@ class TestClockAndGC:
         t = tracker(tables)
         t.assign(mk(0, EXT_A, INT_A))
         t.assign(mk(5000, EXT_B, INT_B))
-        evicted = t.gc(int(6000 * 1e6), idle_timeout=3600.0)
+        evicted = t.gc(int(6000 * 1e6))
         assert [s.stream_id for s in evicted] == [EXT_A]
         assert EXT_A not in t.states
         assert EXT_B in t.states
@@ -161,14 +161,14 @@ class TestClockAndGC:
     def test_gc_detaches_pivot_index(self, tables):
         t = tracker(tables)
         t.assign(mk(0, EXT_A, INT_A))
-        t.gc(int(7200 * 1e6), idle_timeout=3600.0)
+        t.gc(int(7200 * 1e6))
         sid = t.assign(mk(7201, INT_A, INT_B))[0]
         assert sid.startswith("internal#")
 
     def test_gc_drops_evicted_streams_from_pivot_index(self, tables):
-        t = tracker(tables, horizon=3600.0)
+        t = tracker(tables, horizon=3600.0, idle_timeout=60.0)
         t.assign(mk(0, EXT_A, INT_A))
-        assert [s.stream_id for s in t.gc(int(100 * 1e6), idle_timeout=60.0)] == [EXT_A]
+        assert [s.stream_id for s in t.gc(int(100 * 1e6))] == [EXT_A]
         # the same source comes back as a new stream that never touched INT_A
         assert t.assign(mk(110, EXT_A, INT_C))[2] == "stream_start"
         sid, _, trans, _ = t.assign(mk(120, INT_A, INT_B))
@@ -241,7 +241,7 @@ class TestTrackerProperties:
     @settings(derandomize=True, deadline=None)
     @given(ops=OPS, idle_s=st.sampled_from([HORIZON_S / 2, HORIZON_S * 2]))
     def test_assign_and_gc_match_touch_log(self, tables, ops, idle_s):
-        t = tracker(tables, horizon=HORIZON_S)
+        t = tracker(tables, horizon=HORIZON_S, idle_timeout=idle_s)
         horizon_us, idle_us = int(HORIZON_S * 1e6), int(idle_s * 1e6)
         born = {}      # live stream id -> index into log when it started
         last = {}      # live stream id -> latest alert timestamp
@@ -254,7 +254,7 @@ class TestTrackerProperties:
                 quiet = {s for s in born if s not in evict
                          and t.states[s].handle.silence_us is not None
                          and last[s] + t.states[s].handle.silence_us < clock}
-                evicted = {s.stream_id for s in t.gc(clock, idle_s)}
+                evicted = {s.stream_id for s in t.gc(clock)}
                 assert evicted == evict
                 assert {s.stream_id for s in t.quiet} == quiet
                 for state in t.quiet:    # the pipeline closes them
@@ -293,10 +293,3 @@ class TestTrackerProperties:
             assert all(stream_id in t.states
                        for entries in t._touch_index.values()
                        for stream_id in entries)
-
-    def test_a_shorter_idle_timeout_still_evicts_exactly(self, tables):
-        t = tracker(tables)
-        t.assign(mk(0, EXT_A, INT_A))
-        assert t.gc(int(10 * 1e6), idle_timeout=3600.0) == []
-        # the wake-up now sits at the 3600 s eviction
-        assert [s.stream_id for s in t.gc(int(20 * 1e6), idle_timeout=5.0)] == [EXT_A]

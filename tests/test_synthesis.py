@@ -90,7 +90,9 @@ class TestSynthConfig:
         {"gamma": 0.0}, {"gamma": 1.5}, {"gamma": math.nan},
         {"ewma_window": 0.0}, {"merge_threshold": -0.1},
         {"merge_threshold": 0.0}, {"retire_floor": 0.0},
-        {"smoothing_eps": -1e-6},
+        {"smoothing_eps": -1e-6}, {"smoothing_eps": math.inf},
+        {"ewma_window": math.inf}, {"merge_threshold": math.inf},
+        {"retire_floor": math.inf},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -622,13 +624,19 @@ class TestRowsTrackModels:
     """The three row matrices are state that follows the model list: one
     row per model, counts that the models view, and smoothed rows equal to
     the oracle's smoothing of each model's components, after every
-    admission, merge and retirement."""
+    admission, merge and retirement.  pmf_rows, read off the counts, stays
+    bitwise equal to each model's own pmfs."""
 
     def assert_rows_match(self, ms, gone=()):
         eps = ms.config.smoothing_eps
         assert ms._smoothed.shape == ms._logq.shape == (len(ms.models),
                                                         sum(CARDS))
         assert_counts_are_matrix_views(ms, gone)
+        rows = ms.pmf_rows()
+        assert rows.shape == (len(ms.models), sum(CARDS))
+        for m, row in zip(ms.models, rows):
+            ref = np.concatenate([m.pmf(i) for i in range(len(m.counts))])
+            assert np.array_equal(row, ref)
         for m, smoothed, logq in zip(ms.models, ms._smoothed, ms._logq):
             for c, (a, b) in zip(m.counts, ms._spans):
                 ref = smoothed_ref(c.tolist(), eps)

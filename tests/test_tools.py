@@ -1,0 +1,32 @@
+"""tools/artifact_digests.py prints one digest line per run and rejects a
+malformed --set entry as a usage error."""
+
+import importlib.util
+import pathlib
+import re
+
+import pytest
+
+TOOL = pathlib.Path(__file__).parent.parent / "tools" / "artifact_digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests_tool():
+    spec = importlib.util.spec_from_file_location("artifact_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_prints_one_line_per_scenario(digests_tool, capsys):
+    assert digests_tool.main(["--scenarios", "small", "--workloads", ""]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"small [0-9a-f]{64} [0-9a-f]{64}", lines[0])
+
+
+def test_set_without_equals_is_a_usage_error(digests_tool, capsys):
+    with pytest.raises(SystemExit) as exc:
+        digests_tool.main(["--scenarios", "", "--workloads", "", "--set", "foo"])
+    assert exc.value.code == 2
+    assert "KEY=VALUE" in capsys.readouterr().err

@@ -69,6 +69,9 @@ def main(argv=None):
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma list of benchmark workloads ('' for none)")
     args = parser.parse_args(argv)
+    bad = [entry for entry in args.set if "=" not in entry]
+    if bad:
+        parser.error(f"--set needs KEY=VALUE, got {bad}")
     config = dict(entry.split("=", 1) for entry in args.set)
     scenarios = pick(parser, "scenarios", args.scenarios, SCENARIOS)
     workloads = pick(parser, "workloads", args.workloads, WORKLOADS)
