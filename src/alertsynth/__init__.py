@@ -18,8 +18,7 @@ from .stream_tracker import StreamState, StreamTracker
 from .synthesis import (Admission, AttackModel, ModelSet, SynthConfig,
                         admission_bound, create_model, cross_entropy, decay,
                         jsd, jsd_component, kl_divergence, model_distance,
-                        smoothed_pmf, update_model)
-from .export_cli import Engine, RunConfig, run
+                        smoothed_pmf)
 
 __version__ = "0.1.0"
 
@@ -32,5 +31,16 @@ __all__ = [
     "cross_entropy", "decay", "jsd", "jsd_component",
     "kl_divergence", "load_mappings", "make_segmenter", "map_ais",
     "map_service", "model_distance", "open_source", "parse_alert_line", "run",
-    "smoothed_pmf", "update_model",
+    "smoothed_pmf",
 ]
+
+# served on first use (PEP 562), so that `python -m alertsynth.export_cli`
+# runs the one copy of that module
+_ENGINE_NAMES = ("Engine", "RunConfig", "run")
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import export_cli
+        return getattr(export_cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

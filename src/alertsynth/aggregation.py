@@ -21,19 +21,30 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .action_space import COMPONENTS, Action, ConfigError
+from .action_space import Action, ConfigError
 
 
-@dataclass
+@lru_cache(maxsize=None)
+def _column_offsets(cardinalities: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Start column of each component in a side-by-side vector, then its width."""
+    return tuple(accumulate(cardinalities, initial=0))
+
+
+@dataclass(slots=True)
 class Aggregate:
     """A temporally contiguous batch of actions from one stream, as the model
     set sees it: its pmfs, size, the lines it covers and its latest time."""
 
     raw_seqs: List[int]          # of the actions, in arrival order
     vec: np.ndarray              # the component pmfs side by side
-    pmfs: List[np.ndarray]       # views of vec per component, each sums to 1
     n: int
     t_end: int                   # latest action ts, microseconds
+    edges: Tuple[int, ...]       # start column of each component, then the width
+
+    @property
+    def pmfs(self) -> List[np.ndarray]:
+        """Views of vec per component, each sums to 1."""
+        return [self.vec[a:b] for a, b in zip(self.edges, self.edges[1:])]
 
 
 def build_aggregate(actions: Sequence[Action],
@@ -41,13 +52,13 @@ def build_aggregate(actions: Sequence[Action],
     """Empirical pmfs of a nonempty action batch: one bincount of offset values."""
     assert len(actions) > 0, "aggregate needs at least one action"
     n = len(actions)
-    edges = list(accumulate(cardinalities, initial=0))
-    vec = np.bincount([getattr(a, name) + offset for a in actions
-                       for name, offset in zip(COMPONENTS, edges)],
-                      minlength=edges[-1]) / n
-    return Aggregate(raw_seqs=[a.raw_seq for a in actions], vec=vec,
-                     pmfs=[vec[a:b] for a, b in zip(edges, edges[1:])],
-                     n=n, t_end=max(a.ts for a in actions))
+    edges = _column_offsets(tuple(cardinalities))
+    _, s, m, t, width = edges
+    vec = np.bincount([v for a in actions for v in
+                       (a.ais, a.service + s, a.maneuver + m, a.timebin + t)],
+                      minlength=width) / n
+    return Aggregate([a.raw_seq for a in actions], vec, n,
+                     max([a.ts for a in actions]), edges)
 
 
 # silences from here on (2**53 us, about 285 years) set no deadline

@@ -399,7 +399,10 @@ class Engine:
             timebin=bin_elapsed_index(gap),
             ts=alert.ts, stream_id=stream_id, raw_seq=alert.raw_seq)
         self.actions_total += 1
-        for actions in runs + state.handle.feed(action, gap):
+        runs += state.handle.feed(action, gap)
+        if elapsed_us is None:
+            self.tracker.arm_first(state)
+        for actions in runs:
             self._admit(build_aggregate(actions, self.tables.cardinalities),
                         self.clock)
 
@@ -427,13 +430,19 @@ class Engine:
         self._drain(self.tracker.quiet + evicted, ts)
 
     def _drain(self, states, ts: int) -> None:
-        """Flush the given streams, build and admit their aggregates one at
-        a time in (t_end, stream_id) order, retire, and export at ts.
+        """Flush the given streams that hold a segmenter and release it (the
+        stream's next alert starts a fresh one), build and admit their
+        aggregates one at a time in (t_end, stream_id) order, retire, and
+        export at ts.
 
         When ts repeats the last export's stamp and this drain changed the
         model set, the export is stamped 1 us later so that it is written."""
-        runs = [actions for state in states for actions in state.handle.flush()]
-        runs.sort(key=lambda run: (max(a.ts for a in run), run[0].stream_id))
+        runs = []
+        for state in states:
+            if state.handle is not None:
+                runs += state.handle.flush()
+                state.handle = None
+        runs.sort(key=lambda run: (max([a.ts for a in run]), run[0].stream_id))
         for actions in runs:
             self._admit(build_aggregate(actions, self.tables.cardinalities), ts)
         retired = self.model_set.retire_pass(ts)
@@ -462,12 +471,14 @@ class Engine:
         if self.clock is None:
             self.clock = 0  # empty input still produces a (zero-model) export
         self._drain(self.tracker.states.values(), self.clock)
+        # each distinct model id resolved once, to the end of its rows
+        tail = {model_id: f",{self.model_set.resolve(model_id)}\n"
+                for model_id in set(self.assignments)}
+        rows = [f"{seq}{tail[model_id]}"
+                for seq, model_id in enumerate(self.assignments) if model_id >= 0]
         path = os.path.join(self.config.export_dir, "assignments.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("raw_seq,model_id\n")
-            for seq, model_id in enumerate(self.assignments):
-                if model_id >= 0:
-                    fh.write(f"{seq},{self.model_set.resolve(model_id)}\n")
+            fh.write("".join(["raw_seq,model_id\n", *rows]))
 
     def counters(self) -> Dict[str, int]:
         ms = self.model_set

@@ -26,7 +26,8 @@ class StreamState:
     last_ts: int
     last_src: str
     last_dst: str
-    handle: object = None        # open segmenter, owned by the pipeline
+    handle: object = None        # open segmenter, owned by the pipeline;
+                                 # None until the first alert and once closed
     armed: int = 0               # time of the stream's live queue entry
 
 
@@ -53,6 +54,9 @@ class StreamTracker:
         self._touch_index: Dict[str, Dict[str, int]] = {}
         self._synthetic_seq = 0
         self._queue: List[Tuple[int, str]] = []
+        # new streams not queued yet, by id: arm_first queues one at its
+        # first deadline, and gc queues the rest at their first alert
+        self._unqueued: Dict[str, StreamState] = {}
         # streams whose open segment's horizon the last gc passed; the
         # pipeline closes their segments
         self.quiet: List[StreamState] = []
@@ -121,13 +125,26 @@ class StreamTracker:
         state = StreamState(stream_id=stream_id, last_ts=alert.ts,
                             last_src=alert.src_ip, last_dst=alert.dst_ip)
         self.states[stream_id] = state
-        self._arm(state, alert.ts)
+        # not queued yet, but due at its first alert: the rule in assign
+        # leaves it alone, as its time is never later than last_ts
+        state.armed = alert.ts
+        self._unqueued[stream_id] = state
         return state
 
     def _arm(self, state: StreamState, ts: int) -> None:
         """Queue a wake-up for state at ts; any earlier entry goes stale."""
         heapq.heappush(self._queue, (ts, state.stream_id))
         state.armed = ts
+
+    def arm_first(self, state: StreamState) -> None:
+        """Queue a new stream, once its handle holds the first alert, at its
+        first deadline: its open segment's horizon, or its eviction when
+        the handle reports none.  This spares gc the visit that would only
+        move the entry from the first alert's time to that deadline."""
+        del self._unqueued[state.stream_id]
+        horizon = state.handle.horizon(state.last_ts)
+        deadline = state.last_ts + self.idle_timeout_us
+        self._arm(state, deadline if horizon is None else min(horizon, deadline))
 
     def _touch(self, state: StreamState, ts: int, *ips: str) -> None:
         """Stamp internal addresses as touched by state's stream."""
@@ -158,18 +175,23 @@ class StreamTracker:
         (its handle's horizon(last_ts)) lies before now.
 
         Neither check scans the stream table: the queue holds for each
-        stream one live wake-up no later than its earliest deadline.  A
-        stream's alert re-arms it at its last_ts when its entry lies later,
-        which leaves that entry stale.  gc pops the entries before now,
-        drops the stale ones (stream gone, or armed at another time) and
-        checks the rest against the stream's deadlines at this moment: an
-        idle stream is evicted, a passed horizon makes the stream quiet,
-        and otherwise the stream is re-armed at its next deadline.  A quiet
-        stream is re-armed at its eviction, since its segment is closed."""
+        stream one live wake-up no later than its earliest deadline.  A new
+        stream that arm_first did not queue is queued at its first alert
+        before anything else.  A stream's alert re-arms it at its last_ts
+        when its entry lies later, which leaves that entry stale.  gc pops
+        the entries before now, drops the stale ones (stream gone, or armed
+        at another time) and checks the rest against the stream's deadlines
+        at this moment: an idle stream is evicted, a passed horizon makes
+        the stream quiet, and otherwise the stream is re-armed at its next
+        deadline.  A quiet stream is re-armed at its eviction, since its
+        segment is closed.  A stream without a handle has no horizon."""
         limit = self.idle_timeout_us
         evicted: List[StreamState] = []
         self.quiet = quiet = []
         queue, states = self._queue, self.states
+        for state in self._unqueued.values():
+            heapq.heappush(queue, (state.armed, state.stream_id))
+        self._unqueued.clear()
         while queue and queue[0][0] < now:
             ts, stream_id = queue[0]
             state = states.get(stream_id)

@@ -74,7 +74,7 @@ def smooth_rows(counts: np.ndarray, layout: Tuple[np.ndarray, np.ndarray],
     component_layout gives: each component normalized, its zero cells
     floored at eps, renormalized.  Each sum is one reduceat over the
     component starts, which adds in column order, so a row comes out the
-    same bits whether it is smoothed alone or among others."""
+    same bits whether it is smoothed alone, as a 1-D row, or among others."""
     starts, component = layout
     totals = np.add.reduceat(counts, starts, axis=-1)
     assert (totals > 0).all(), "smoothing needs nonzero count vectors"
@@ -121,10 +121,11 @@ def smoothed_rows(models: Sequence[AttackModel], eps: float
     return smoothed, np.log(smoothed)
 
 
-def cross_entropy_rows(logq: np.ndarray, wcol: np.ndarray,
-                       vec: np.ndarray) -> np.ndarray:
-    """Weighted cross-entropy of the side-by-side pmfs vec against every row."""
-    return -(logq @ (wcol * vec))
+def neg_cross_entropy_rows(logq: np.ndarray, wcol: np.ndarray,
+                           vec: np.ndarray) -> np.ndarray:
+    """Weighted cross-entropy of the side-by-side pmfs vec against every row,
+    negated (negation is exact, so callers negate the one value they keep)."""
+    return logq @ (wcol * vec)
 
 
 def jsd_rows(smoothed: np.ndarray, logq: np.ndarray, wcol: np.ndarray,
@@ -148,7 +149,7 @@ def model_distance(agg: Aggregate, model: AttackModel, weights: WeightConfig,
     """Weighted cross-entropy between aggregate pmfs and smoothed model pmfs."""
     _, logq = smoothed_rows([model], eps)
     wcol = np.repeat(weights.vector, [len(c) for c in model.counts])
-    return float(cross_entropy_rows(logq, wcol, agg.vec)[0])
+    return -float(neg_cross_entropy_rows(logq, wcol, agg.vec)[0])
 
 
 def admission_bound(weights: WeightConfig, cardinalities: Sequence[int],
@@ -175,17 +176,6 @@ def decay(model: AttackModel, now: int, window: float) -> AttackModel:
     return model
 
 
-def update_model(model: AttackModel, agg: Aggregate, now: int,
-                 config: SynthConfig) -> AttackModel:
-    """Fold an associated aggregate into a model (decay, then add mass n)."""
-    decay(model, now, config.ewma_window)
-    for i in range(len(COMPONENTS)):
-        model.counts[i] += agg.n * agg.pmfs[i]
-    model.evidence += agg.n
-    model.last_update_ts = now
-    return model
-
-
 def create_model(agg: Aggregate, now: int, model_id: int) -> AttackModel:
     """Fresh model whose pmfs equal the aggregate's pmfs, evidence n."""
     counts = [agg.n * p for p in agg.pmfs]
@@ -193,7 +183,7 @@ def create_model(agg: Aggregate, now: int, model_id: int) -> AttackModel:
                        created_at=now, last_update_ts=now, last_decay_ts=now)
 
 
-@dataclass
+@dataclass(slots=True)
 class Admission:
     """Outcome of presenting one aggregate to the model set."""
 
@@ -209,16 +199,19 @@ class ModelSet:
     Three matrices hold one row per live model, in list order, over the
     components' columns side by side (88 with the packaged tables): counts,
     smoothed pmfs and their logs.  A live model's counts are views of its
-    counts row, so update_model, decay and merges write the matrix in place;
-    scoring is one matvec and a merge scan one JSD row.  The matrices follow
-    the models: assigning models (create, merge, retire) copies the counts
-    into a fresh matrix, re-points the views and smooths every row, and an
-    associate re-smooths its own row in one smooth_rows call.  Models that
-    leave the set keep views of the old matrix.  Merging keeps no pairwise
-    matrix: a finished merge pass leaves no pair under the merge threshold,
-    and decay and retirement move no pmf, so after an admission only pairs
-    involving the touched model need checking, and after a merge only pairs
-    involving the keeper.
+    counts row, so decay and merges write the matrix in place, and an
+    associate is one fold of the aggregate's vector into that row.
+    Scoring is one matvec and a merge scan one JSD row; best_model returns
+    a row index, and observe and merge_pass work on rows, so no admission
+    searches the model list.  The matrices follow the models: assigning
+    models (create, merge, retire) copies the counts into a fresh matrix,
+    re-points the views and smooths every row, and an associate re-smooths
+    its own row in one smooth_rows call.  Models that leave the set keep
+    views of the old matrix.  Merging keeps no pairwise matrix: a finished
+    merge pass leaves no pair under the merge threshold, and decay and
+    retirement move no pmf, so after an admission only pairs involving the
+    touched row need checking, and after a merge only pairs involving the
+    keeper's.
     """
 
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
@@ -275,14 +268,15 @@ class ModelSet:
             decay(m, now, self.config.ewma_window)
         self._clock = now
 
-    def best_model(self, agg: Aggregate) -> Optional[Tuple[AttackModel, float]]:
-        """Model minimizing the weighted cross-entropy distance, with ties
-        broken toward the lowest model id."""
+    def best_model(self, agg: Aggregate) -> Optional[Tuple[int, float]]:
+        """Row of the model minimizing the weighted cross-entropy distance,
+        and that distance; ties go to the lowest row, which holds the lowest
+        model id."""
         if not self.models:
             return None
-        dist = cross_entropy_rows(self._logq, self._wcol, agg.vec)
-        k = int(dist.argmin())  # first hit = lowest id; list is id-sorted
-        return self.models[k], float(dist[k])
+        neg = neg_cross_entropy_rows(self._logq, self._wcol, agg.vec)
+        k = int(neg.argmax())  # the first maximum of neg is the first minimum
+        return k, -float(neg[k])
 
     def admit(self, h_star: Optional[float]) -> str:
         """associate iff h_star beats the admission bound (strict)."""
@@ -291,40 +285,46 @@ class ModelSet:
         return "create"
 
     def observe(self, agg: Aggregate, now: int) -> Admission:
-        """Assign one aggregate: decay, associate-or-create, then merge."""
+        """Assign one aggregate: decay, associate-or-create, then merge.
+
+        An associate folds the aggregate into its model's counts row (decay,
+        then add mass n; the one fold of an aggregate into a model) and
+        re-smooths that row."""
         self.decay_all(now)
         best = self.best_model(agg)
         h_star = best[1] if best else None
         if self.admit(h_star) == "associate":
-            model = best[0]
-            update_model(model, agg, now, self.config)
-            k = self.models.index(model)      # re-smooth only this row
-            self._smoothed[k:k + 1] = smooth_rows(
-                self._counts[k:k + 1], self._layout, self.config.smoothing_eps)
+            k = best[0]
+            model = self.models[k]
+            decay(model, now, self.config.ewma_window)
+            self._counts[k] += agg.n * agg.vec
+            model.evidence += agg.n
+            model.last_update_ts = now
+            self._smoothed[k] = smooth_rows(self._counts[k], self._layout,
+                                            self.config.smoothing_eps)
             np.log(self._smoothed[k], out=self._logq[k])
             action = "associate"
         else:
+            k = len(self.models)
             model = create_model(agg, now, self.created_total)
             self.created_total += 1
             self.models = self.models + [model]
             action = "create"
-        merges = self.merge_pass(model)
+        merges = self.merge_pass(k)
         return Admission(model_id=model.model_id, action=action,
                          h_star=h_star, merges=merges)
 
-    def merge_pass(self, changed: Optional[AttackModel] = None
-                   ) -> List[Tuple[int, int]]:
+    def merge_pass(self, changed: Optional[int] = None) -> List[Tuple[int, int]]:
         """Repeatedly merge the minimum-JSD pair while it is under the
         threshold; the smaller-evidence model folds into the larger.
 
-        With changed given, only pairs involving it (then the keeper of each
-        merge) are scanned, which finds the same pairs as a full scan when
-        no other pair is under the threshold.  Ties go to the lowest
-        (i < j) pair."""
+        With changed, a row, given, only pairs involving that row (then the
+        keeper's row after each merge) are scanned, which finds the same
+        pairs as a full scan when no other pair is under the threshold.
+        Ties go to the lowest (i < j) pair."""
         merges: List[Tuple[int, int]] = []
         while len(self.models) >= 2:
-            rows = (range(len(self.models)) if changed is None
-                    else [self.models.index(changed)])
+            rows = range(len(self.models)) if changed is None else (changed,)
             best = (np.inf, 0, 0)
             for k in rows:
                 row = jsd_rows(self._smoothed, self._logq, self._wcol, k)
@@ -334,20 +334,20 @@ class ModelSet:
             dist, i, j = best
             if not dist < self.config.merge_threshold:
                 break
-            a, b = self.models[i], self.models[j]
-            # keep the larger-evidence model's id; ties keep the lower id
-            keeper, loser = (a, b) if a.evidence >= b.evidence else (b, a)
-            for c in range(len(COMPONENTS)):
-                keeper.counts[c] += loser.counts[c]
+            # keep the larger-evidence model's row; ties keep the lower id
+            keep, lose = ((i, j) if self.models[i].evidence
+                          >= self.models[j].evidence else (j, i))
+            keeper, loser = self.models[keep], self.models[lose]
+            self._counts[keep] += self._counts[lose]
             keeper.evidence += loser.evidence
             keeper.created_at = min(keeper.created_at, loser.created_at)
             keeper.last_update_ts = max(keeper.last_update_ts, loser.last_update_ts)
             self.genealogy[loser.model_id] = keeper.model_id
-            self.models = [m for m in self.models if m is not loser]
+            self.models = self.models[:lose] + self.models[lose + 1:]
             self.merged_total += 1
             merges.append((loser.model_id, keeper.model_id))
             if changed is not None:
-                changed = keeper
+                changed = keep - (lose < keep)    # the keeper's row now
         return merges
 
     def retire_pass(self, now: int) -> List[AttackModel]:

@@ -39,7 +39,8 @@ def replay(lines, tmp_path, entries):
         evict = {s.stream_id for s in states if now - s.last_ts > limit}
         quiet = set()
         for s in states:
-            horizon = s.handle.horizon(s.last_ts)
+            # a stream whose segmenter was released has no horizon
+            horizon = None if s.handle is None else s.handle.horizon(s.last_ts)
             if s.stream_id not in evict and horizon is not None and horizon < now:
                 quiet.add(s.stream_id)
         evicted = gc(now)
@@ -114,6 +115,29 @@ class TestPartitionInvariance:
             _, admissions = replay(self.lines(feed), tmp_path / interval,
                                    {**config, "export_interval": interval})
             assert partition(admissions) == Counter([(0,), (1, 2), (3,)])
+
+    def test_a_closed_stream_releases_its_segmenter(self, tmp_path):
+        # the first stream's run closes at the 90 s boundary, past its
+        # horizon (61 s); its next alert starts a fresh segmenter
+        feed = [(0, "198.51.100.1", "10.0.0.1"), (1, "198.51.100.1", "10.0.0.1"),
+                (200, "198.51.100.2", "10.0.0.1"), (10, "198.51.100.1", "10.0.0.1")]
+        lines = self.lines(feed)
+        config = {"tau": "60s", "export_interval": "30s"}
+        engine = Engine(build_config({**config, "export_dir": str(tmp_path / "e")}))
+        for seq, line in enumerate(lines[:3]):
+            engine.process(parse_alert_line(line, seq))
+        first = engine.tracker.states["198.51.100.1"]
+        assert engine.aggregates_total == 1
+        assert first.handle is None
+        engine.process(parse_alert_line(lines[3], 3))
+        assert first.handle is not None
+        engine.shutdown()
+        assert all(s.handle is None for s in engine.tracker.states.values())
+        expect = Counter([(0, 1), (2,), (3,)])
+        for interval in ("30s", "1000d"):
+            _, admissions = replay(lines, tmp_path / interval,
+                                   {**config, "export_interval": interval})
+            assert partition(admissions) == expect
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(feed=FEED)

@@ -698,3 +698,22 @@ class TestMain:
                               capture_output=True, text=True, timeout=60,
                               check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_module_entry_point_runs_without_warning(self):
+        """The package root serves the engine names lazily, so running
+        export_cli as __main__ finds no copy of it already imported."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "alertsynth.export_cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "usage:" in done.stdout
+
+    def test_package_root_serves_the_engine_names(self):
+        import alertsynth
+        from alertsynth import Engine as engine_cls, RunConfig as config_cls
+        assert (engine_cls, config_cls, alertsynth.run) == (Engine, RunConfig, run)
+        with pytest.raises(AttributeError):
+            alertsynth.no_such_name

@@ -15,7 +15,7 @@ from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
                                   create_model, cross_entropy,
                                   decay, jsd, jsd_component, jsd_rows,
                                   kl_divergence, model_distance, smooth_rows,
-                                  smoothed_pmf, update_model)
+                                  smoothed_pmf)
 from oracles import (admission_bound_ref, cross_entropy_ref, decay_ref,
                      jsd_component_ref, kl_ref, model_distance_ref,
                      model_jsd_ref, smoothed_ref)
@@ -269,28 +269,38 @@ class TestModelUpdates:
         assert m.counts[0][2] == pytest.approx(75.0)
         assert m.counts[0][3] == pytest.approx(25.0)
 
+    @staticmethod
+    def one_model(agg):
+        """A set whose one model agg founds, and whose bound admits every
+        aggregate of these tests into it."""
+        ms = fresh_set(gamma=1e-12)
+        ms.observe(agg, 0)
+        return ms, ms.models[0]
+
     def test_update_doubles_evidence_and_averages_pmfs(self):
-        m = create_model(make_agg([1] * 10), 0, 0)
-        update_model(m, make_agg([2] * 10), 0, SynthConfig())
+        ms, m = self.one_model(make_agg([1] * 10))
+        assert ms.observe(make_agg([2] * 10), 0).action == "associate"
         assert m.evidence == pytest.approx(20.0)
         assert m.pmf(0)[1] == pytest.approx(0.5)
         assert m.pmf(0)[2] == pytest.approx(0.5)
 
     def test_update_after_total_decay_tracks_aggregate(self):
-        m = create_model(make_agg([1] * 10), 0, 0)
+        ms, m = self.one_model(make_agg([1] * 10))
         far = int(100 * 21600 * 1e6)
-        update_model(m, make_agg([5] * 10, ts=far / 1e6), far, SynthConfig())
+        assert ms.observe(make_agg([5] * 10, ts=far / 1e6), far).action == \
+            "associate"
         assert m.pmf(0)[5] == pytest.approx(1.0, abs=1e-9)
         assert m.evidence == pytest.approx(10.0, rel=1e-9)
 
     def test_mass_conservation(self):
         rng = random.Random(5)
-        m = create_model(make_agg([0, 1, 2]), 0, 0)
+        ms, m = self.one_model(make_agg([0, 1, 2]))
         now = 0
         for _ in range(30):
             now += rng.randint(0, int(3600 * 1e6))
             vals = [rng.randrange(12) for _ in range(rng.randint(1, 9))]
-            update_model(m, make_agg(vals, ts=now / 1e6), now, SynthConfig())
+            admission = ms.observe(make_agg(vals, ts=now / 1e6), now)
+            assert admission.action == "associate"
             for c in m.counts:
                 assert c.sum() == pytest.approx(m.evidence, rel=1e-6)
 
@@ -315,8 +325,9 @@ class TestBestModelAndAdmit:
         ms.models = [create_model(make_agg([2] * 5), 0, 0),
                      create_model(make_agg([5] * 5), 0, 1)]
         probe = make_agg([5] * 3)
-        model, h = ms.best_model(probe)
-        assert model.model_id == 1
+        k, h = ms.best_model(probe)
+        model = ms.models[k]
+        assert k == 1 and model.model_id == 1
         assert h == pytest.approx(
             model_distance(probe, ms.models[1], ms.config.weights, EPS),
             abs=1e-9)
@@ -325,8 +336,9 @@ class TestBestModelAndAdmit:
         ms = fresh_set()
         agg = make_agg([3, 4])
         ms.models = [create_model(agg, 0, 0), create_model(agg, 0, 1)]
-        model, _ = ms.best_model(make_agg([3]))
-        assert model.model_id == 0
+        k, _ = ms.best_model(make_agg([3]))
+        assert k == 0
+        assert ms.models[k].model_id == 0
 
     def test_admit_thresholds(self):
         ms = fresh_set()
@@ -511,11 +523,11 @@ class TestDecayAll:
         ms.observe(make_agg([1] * 8), 0)
         ms.observe(make_agg([7] * 8, [20] * 8), 0)
         rows = ms._smoothed.copy(), ms._logq.copy()
-        before = ms.best_model(make_agg([1]))[0].model_id
+        before = ms.models[ms.best_model(make_agg([1]))[0]].model_id
         ms.decay_all(int(3600 * 1e6))
         assert np.array_equal(ms._smoothed, rows[0])
         assert np.array_equal(ms._logq, rows[1])
-        assert ms.best_model(make_agg([1]))[0].model_id == before
+        assert ms.models[ms.best_model(make_agg([1]))[0]].model_id == before
 
     def test_backwards_clock_is_contract_violation(self):
         ms = fresh_set()
@@ -549,7 +561,8 @@ class TestRouteEquivalence:
             n = rng.randint(1, 6)
             probe = make_agg([rng.randrange(12) for _ in range(n)],
                              [rng.randrange(45) for _ in range(n)])
-            model, h = ms.best_model(probe)
+            k, h = ms.best_model(probe)
+            model = ms.models[k]
             scan = [(model_distance_ref(probe.pmfs, m.counts, w, eps),
                      m.model_id) for m in ms.models]
             best = min(scan)
@@ -684,7 +697,7 @@ class TestRowsTrackModels:
         self.assert_rows_match(ms)
         ms.models = [b]
         self.assert_rows_match(ms, [a])
-        assert ms.best_model(make_agg([1]))[0] is b
+        assert ms.models[ms.best_model(make_agg([1]))[0]] is b
         ms.models = []
         self.assert_rows_match(ms)
         assert ms.best_model(make_agg([1])) is None
