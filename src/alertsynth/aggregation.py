@@ -21,7 +21,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .action_space import Action, ConfigError
+from .action_space import COMPONENTS, Action, ConfigError
+
+# build_aggregate names the components in this order, spelled out because
+# the generic getattr loop over COMPONENTS costs about twice as much
+assert COMPONENTS == ("ais", "service", "maneuver", "timebin"), COMPONENTS
 
 
 @lru_cache(maxsize=None)

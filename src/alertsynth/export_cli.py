@@ -399,10 +399,7 @@ class Engine:
             timebin=bin_elapsed_index(gap),
             ts=alert.ts, stream_id=stream_id, raw_seq=alert.raw_seq)
         self.actions_total += 1
-        runs += state.handle.feed(action, gap)
-        if elapsed_us is None:
-            self.tracker.arm_first(state)
-        for actions in runs:
+        for actions in runs + state.handle.feed(action, gap):
             self._admit(build_aggregate(actions, self.tables.cardinalities),
                         self.clock)
 
@@ -474,11 +471,12 @@ class Engine:
         # each distinct model id resolved once, to the end of its rows
         tail = {model_id: f",{self.model_set.resolve(model_id)}\n"
                 for model_id in set(self.assignments)}
-        rows = [f"{seq}{tail[model_id]}"
-                for seq, model_id in enumerate(self.assignments) if model_id >= 0]
         path = os.path.join(self.config.export_dir, "assignments.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(["raw_seq,model_id\n", *rows]))
+            fh.write("raw_seq,model_id\n")
+            fh.writelines(f"{seq}{tail[model_id]}"
+                          for seq, model_id in enumerate(self.assignments)
+                          if model_id >= 0)
 
     def counters(self) -> Dict[str, int]:
         ms = self.model_set

@@ -54,8 +54,8 @@ class StreamTracker:
         self._touch_index: Dict[str, Dict[str, int]] = {}
         self._synthetic_seq = 0
         self._queue: List[Tuple[int, str]] = []
-        # new streams not queued yet, by id: arm_first queues one at its
-        # first deadline, and gc queues the rest at their first alert
+        # new streams not queued yet, by id; the next gc checks each one
+        # directly and queues it at its next deadline
         self._unqueued: Dict[str, StreamState] = {}
         # streams whose open segment's horizon the last gc passed; the
         # pipeline closes their segments
@@ -136,16 +136,6 @@ class StreamTracker:
         heapq.heappush(self._queue, (ts, state.stream_id))
         state.armed = ts
 
-    def arm_first(self, state: StreamState) -> None:
-        """Queue a new stream, once its handle holds the first alert, at its
-        first deadline: its open segment's horizon, or its eviction when
-        the handle reports none.  This spares gc the visit that would only
-        move the entry from the first alert's time to that deadline."""
-        del self._unqueued[state.stream_id]
-        horizon = state.handle.horizon(state.last_ts)
-        deadline = state.last_ts + self.idle_timeout_us
-        self._arm(state, deadline if horizon is None else min(horizon, deadline))
-
     def _touch(self, state: StreamState, ts: int, *ips: str) -> None:
         """Stamp internal addresses as touched by state's stream."""
         for ip in ips:
@@ -175,22 +165,24 @@ class StreamTracker:
         (its handle's horizon(last_ts)) lies before now.
 
         Neither check scans the stream table: the queue holds for each
-        stream one live wake-up no later than its earliest deadline.  A new
-        stream that arm_first did not queue is queued at its first alert
-        before anything else.  A stream's alert re-arms it at its last_ts
-        when its entry lies later, which leaves that entry stale.  gc pops
-        the entries before now, drops the stale ones (stream gone, or armed
-        at another time) and checks the rest against the stream's deadlines
-        at this moment: an idle stream is evicted, a passed horizon makes
-        the stream quiet, and otherwise the stream is re-armed at its next
-        deadline.  A quiet stream is re-armed at its eviction, since its
-        segment is closed.  A stream without a handle has no horizon."""
-        limit = self.idle_timeout_us
+        stream one live wake-up no later than its earliest deadline, and
+        a stream started since the last gc is due at its first alert, so
+        gc checks it directly and queues it at its next deadline.  A
+        stream's alert re-arms it at its last_ts when its entry lies later,
+        which leaves that entry stale.  gc pops the entries before now,
+        drops the stale ones (stream gone, or armed at another time) and
+        checks the rest against the stream's deadlines at this moment."""
         evicted: List[StreamState] = []
-        self.quiet = quiet = []
+        self.quiet = []
         queue, states = self._queue, self.states
         for state in self._unqueued.values():
-            heapq.heappush(queue, (state.armed, state.stream_id))
+            wake = self._check(state, now)
+            if wake is None:
+                del states[state.stream_id]
+                evicted.append(state)
+            else:
+                heapq.heappush(queue, (wake, state.stream_id))
+                state.armed = wake
         self._unqueued.clear()
         while queue and queue[0][0] < now:
             ts, stream_id = queue[0]
@@ -198,21 +190,15 @@ class StreamTracker:
             if state is None or state.armed != ts:
                 heapq.heappop(queue)
                 continue
-            deadline = state.last_ts + limit
-            if deadline < now:
+            wake = self._check(state, now)
+            if wake is None:
                 heapq.heappop(queue)
                 del states[stream_id]
                 evicted.append(state)
-                continue
-            horizon = (None if state.handle is None
-                       else state.handle.horizon(state.last_ts))
-            if horizon is not None and horizon < now:
-                quiet.append(state)
-            elif horizon is not None and horizon < deadline:
-                deadline = horizon
-            # heapreplace pops this entry and pushes its successor in one sift
-            heapq.heapreplace(queue, (deadline, stream_id))
-            state.armed = deadline
+            else:
+                # heapreplace pops this entry and pushes its successor in one sift
+                heapq.heapreplace(queue, (wake, stream_id))
+                state.armed = wake
         if evicted:  # the index holds live streams only
             for ip, entries in list(self._touch_index.items()):
                 for stream_id in [s for s in entries if s not in self.states]:
@@ -220,3 +206,21 @@ class StreamTracker:
                 if not entries:
                     del self._touch_index[ip]
         return evicted
+
+    def _check(self, state: StreamState, now: int) -> Optional[int]:
+        """The stream's next wake-up after a check at now, or None when it
+        has been idle past the timeout and is to be evicted.  A passed
+        horizon lists the stream in self.quiet and leaves its eviction as
+        the next wake-up, since its segment is closed.  A stream without a
+        handle has no horizon."""
+        deadline = state.last_ts + self.idle_timeout_us
+        if deadline < now:
+            return None
+        horizon = (None if state.handle is None
+                   else state.handle.horizon(state.last_ts))
+        if horizon is not None:
+            if horizon < now:
+                self.quiet.append(state)
+            elif horizon < deadline:
+                return horizon
+        return deadline

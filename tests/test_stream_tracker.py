@@ -239,9 +239,8 @@ class TestTrackerProperties:
     streams' deadlines."""
 
     @settings(derandomize=True, deadline=None)
-    @given(ops=OPS, idle_s=st.sampled_from([HORIZON_S / 2, HORIZON_S * 2]),
-           arm_first=st.booleans())
-    def test_assign_and_gc_match_touch_log(self, tables, ops, idle_s, arm_first):
+    @given(ops=OPS, idle_s=st.sampled_from([HORIZON_S / 2, HORIZON_S * 2]))
+    def test_assign_and_gc_match_touch_log(self, tables, ops, idle_s):
         t = tracker(tables, horizon=HORIZON_S, idle_timeout=idle_s)
         horizon_us, idle_us = int(HORIZON_S * 1e6), int(idle_s * 1e6)
         born = {}      # live stream id -> index into log when it started
@@ -288,8 +287,6 @@ class TestTrackerProperties:
                 last[sid] = max(last.get(sid, ts), ts)
                 t.states[sid].handle.silence_us = (
                     None if silence is None else silence * 1_000_000)
-                if arm_first and trans == "stream_start":
-                    t.arm_first(t.states[sid])
                 log += [(sid, ip, ts) for ip in (src, dst) if ip in INTERNAL]
             assert set(t.states) == set(born)
             assert all(t.states[s].last_ts == last[s] for s in born)
@@ -298,9 +295,9 @@ class TestTrackerProperties:
                        for stream_id in entries)
 
 
-class TestArmFirst:
-    """A new stream is queued once: at its first deadline when the pipeline
-    arms it, or at its first alert by the next gc otherwise."""
+class TestNewStreams:
+    """gc checks a stream started since the last gc directly, then queues
+    it once at its next deadline."""
 
     def new_stream(self, tables, silence_s):
         t = tracker(tables, idle_timeout=3600.0)
@@ -311,7 +308,7 @@ class TestArmFirst:
 
     def test_queued_once_at_its_horizon(self, tables):
         t, state = self.new_stream(tables, 60)
-        t.arm_first(state)
+        assert t._queue == []
         assert t.gc(int(10 * 1e6)) == [] and t.quiet == []
         assert t._queue == [(int(70 * 1e6), EXT_A)]     # the one entry
         assert t.gc(int(70 * 1e6)) == [] and t.quiet == []
@@ -320,12 +317,16 @@ class TestArmFirst:
 
     def test_queued_at_its_eviction_without_a_horizon(self, tables):
         t, state = self.new_stream(tables, None)
-        t.arm_first(state)
+        assert t.gc(int(11 * 1e6)) == [] and t.quiet == []
         assert t._queue == [(int(3610 * 1e6), EXT_A)]
         assert t.gc(int(3611 * 1e6)) == [state]
 
-    def test_gc_queues_a_stream_not_armed_first_at_its_first_alert(self, tables):
+    def test_quiet_at_its_first_gc_when_the_horizon_passed(self, tables):
         t, state = self.new_stream(tables, 60)
-        assert t._queue == []
-        assert t.gc(int(11 * 1e6)) == [] and t.quiet == []
-        assert t._queue == [(int(70 * 1e6), EXT_A)]     # visited, re-armed
+        assert t.gc(int(71 * 1e6)) == [] and t.quiet == [state]
+        assert t._queue == [(int(3610 * 1e6), EXT_A)]   # its eviction
+
+    def test_evicted_at_its_first_gc_when_idle_past_the_timeout(self, tables):
+        t, state = self.new_stream(tables, 60)
+        assert t.gc(int(3611 * 1e6)) == [state] and t.quiet == []
+        assert t._queue == [] and t.states == {} and t._touch_index == {}
