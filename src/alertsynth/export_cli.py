@@ -474,9 +474,9 @@ class Engine:
         path = os.path.join(self.config.export_dir, "assignments.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("raw_seq,model_id\n")
-            fh.writelines(f"{seq}{tail[model_id]}"
-                          for seq, model_id in enumerate(self.assignments)
-                          if model_id >= 0)
+            for seq, model_id in enumerate(self.assignments):
+                if model_id >= 0:
+                    fh.write(f"{seq}{tail[model_id]}")
 
     def counters(self) -> Dict[str, int]:
         ms = self.model_set
