@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from importlib.resources import files as pkg_files
@@ -247,8 +248,8 @@ def build_config(entries: Dict[str, str]) -> RunConfig:
 def iso_ts(us: int) -> str:
     sec, rem = divmod(us, 1_000_000)
     t = datetime.fromtimestamp(sec, tz=timezone.utc)
-    # strftime's %Y does not zero-pad years below 1000
-    return f"{t.year:04d}-{t:%m-%dT%H:%M:%S}.{rem:06d}Z"
+    return "%04d-%02d-%02dT%02d:%02d:%02d.%06dZ" % (
+        t.year, t.month, t.day, t.hour, t.minute, t.second, rem)
 
 
 def compact_ts(us: int) -> str:
@@ -317,8 +318,10 @@ EVIDENCE_HEADER = "export_ts,model_id,effective_evidence\n"
 
 def export_evidence_series(rows: List[Tuple[int, int, float]]) -> str:
     """One export's evidence.csv rows (export_ts, model_id,
-    effective_evidence), appended below EVIDENCE_HEADER."""
-    return "".join(f"{iso_ts(ts)},{model_id},{evidence:.9g}\n"
+    effective_evidence), appended below EVIDENCE_HEADER; each distinct
+    stamp is formatted once."""
+    stamps = {ts: iso_ts(ts) for ts in {row[0] for row in rows}}
+    return "".join(f"{stamps[ts]},{model_id},{evidence:.9g}\n"
                    for ts, model_id, evidence in rows)
 
 
@@ -343,7 +346,8 @@ class Engine:
         self.actions_total = 0
         self.aggregates_total = 0
         self.exports_total = 0
-        self.merge_counts: List[int] = []
+        # admissions per number of merges they caused
+        self.merge_counts: Counter = Counter()
         # model id admitted for each raw_seq, -1 for a line never admitted
         self.assignments = array("q")
         self._interval_us = int(config.export_interval * 1e6)
@@ -412,7 +416,7 @@ class Engine:
 
     def _admit(self, agg: Aggregate, now: int) -> None:
         admission = self.model_set.observe(agg, now)
-        self.merge_counts.append(len(admission.merges))
+        self.merge_counts[len(admission.merges)] += 1
         # pad to the largest seq (an array times a count below 1 is empty)
         self.assignments.extend(
             array("q", [-1]) * (max(agg.raw_seqs) + 1 - len(self.assignments)))

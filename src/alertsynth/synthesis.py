@@ -13,6 +13,18 @@ textbook form when one weight is 1.  Those forms take raw pmfs; the weighted
 distances of ModelSet, jsd and model_distance share one row kernel, and
 every smoothed pmf, from a single count vector to a model set's whole
 counts matrix, comes from one smoothing kernel, smooth_rows.
+
+A merge scan can be skipped when count supports alone prove that no pair
+is under the merge threshold.  Smoothing leaves under delta = n * eps of a
+pmf's mass outside its count support over n cells.  If two rows' supports
+are disjoint in a component, coarse-graining that component into (support
+of the first row, the rest) gives binary pmfs (a, 1 - a) and (b, 1 - b)
+with a > 1 - delta and b < delta; by the data-processing inequality their
+JSD is at most the component's, and over that box the binary JSD is least
+at the corner, ln 2 - h(delta), h the binary entropy (Lin, IEEE Trans.
+Inf. Theory 37(1), 1991).  A component whose weight times that floor is
+above the threshold separates any pair disjoint in it (separating_masks,
+separated).
 """
 
 import math
@@ -152,6 +164,58 @@ def model_distance(agg: Aggregate, model: AttackModel, weights: WeightConfig,
     return -float(neg_cross_entropy_rows(logq, wcol, agg.vec)[0])
 
 
+def binary_entropy(x: float) -> float:
+    """h(x) = -x ln x - (1 - x) ln(1 - x) in nats, for x in [0, 1]."""
+    return -sum(p * math.log(p) for p in (x, 1.0 - x) if p > 0)
+
+
+def disjoint_jsd_floor(n: int, eps: float) -> float:
+    """Lower bound on the JSD of two eps-smoothed pmfs over n cells whose
+    count supports are disjoint: ln 2 - h(n * eps), or 0 once n * eps
+    reaches 1/2 and the bound no longer holds."""
+    delta = n * eps
+    return math.log(2.0) - binary_entropy(delta) if delta < 0.5 else 0.0
+
+
+# covers jsd_rows' rounding, and other components' terms rounded below 0
+JSD_FLOOR_SLACK = 1e-9
+
+
+def separating_masks(weights: WeightConfig, cardinalities: Sequence[int],
+                     eps: float, threshold: float) -> List[int]:
+    """Column bitmask (bit i for column i of the side-by-side rows) of each
+    component in which disjoint count supports alone put two rows' weighted
+    JSD above threshold."""
+    masks, start = [], 0
+    for w, n in zip(weights.vector, cardinalities):
+        if w * disjoint_jsd_floor(n, eps) - JSD_FLOOR_SLACK > threshold:
+            masks.append(((1 << n) - 1) << start)
+        start += n
+    return masks
+
+
+def support_bits(row: np.ndarray) -> int:
+    """Bitset of a row's nonzero columns, bit i for column i."""
+    return int.from_bytes(np.packbits(row > 0, bitorder="little").tobytes(),
+                          "little")
+
+
+def separated(supports: Sequence[int], masks: Sequence[int], k: int) -> bool:
+    """Whether every row other than k shares no support column with row k in
+    some masked component, which, with the masks of separating_masks and
+    supports that cover the rows' nonzero counts, proves that no row is
+    within the threshold of row k.  With no masks, no row is separated."""
+    parts = [supports[k] & m for m in masks]
+    for j, s in enumerate(supports):
+        if j != k:
+            for p in parts:
+                if not s & p:
+                    break
+            else:
+                return False
+    return True
+
+
 def admission_bound(weights: WeightConfig, cardinalities: Sequence[int],
                     gamma: float) -> float:
     """Largest distance at which an aggregate may still join a model.
@@ -212,6 +276,15 @@ class ModelSet:
     retirement move no pmf, so after an admission only pairs involving the
     touched row need checking, and after a merge only pairs involving the
     keeper's.
+
+    Before scanning a row, merge_pass tries to prove the scan futile: each
+    live row keeps a bitset covering its nonzero count columns (set from
+    the counts whenever models are assigned, widened by each associate's
+    columns; decay only shrinks counts), and when every other row is
+    disjoint from the scanned one in some component whose weighted JSD
+    floor is above the merge threshold (see the module docstring), no pair
+    can merge and the pass ends.  Otherwise the exact scan runs; identical
+    rows always overlap, so they are still scored exactly 0.
     """
 
     def __init__(self, config: SynthConfig, cardinalities: Sequence[int],
@@ -236,6 +309,9 @@ class ModelSet:
         edges = np.cumsum((0, *cardinalities)).tolist()
         self._spans = list(zip(edges, edges[1:]))   # each component's columns
         self._layout = component_layout(cardinalities)
+        self._separating = separating_masks(
+            config.weights, cardinalities, config.smoothing_eps,
+            config.merge_threshold)
         self.models = []
 
     @property
@@ -245,12 +321,14 @@ class ModelSet:
     @models.setter
     def models(self, models: List[AttackModel]) -> None:
         """Store the list, copy the counts into a fresh matrix, re-point each
-        model's counts at its row, and smooth every row."""
+        model's counts at its row, and smooth every row and take its
+        support."""
         self._models = models
         self._counts = np.empty((len(models), len(self._wcol)))
         for m, row in zip(models, self._counts):
             np.concatenate(m.counts, out=row)
             m.counts = [row[a:b] for a, b in self._spans]
+        self._support = [support_bits(row) for row in self._counts]
         self._smoothed = smooth_rows(self._counts, self._layout,
                                      self.config.smoothing_eps)
         self._logq = np.log(self._smoothed)
@@ -258,10 +336,10 @@ class ModelSet:
     # -- lifecycle ---------------------------------------------------------
 
     def decay_all(self, now: int) -> None:
-        """Advance the shared decay clock, decaying every model to now."""
-        if self._clock is None:
-            self._clock = now
-        assert now >= self._clock, "admission clock moved backwards"
+        """Decay every model to now and advance the shared decay clock to
+        it; the first call starts the clock there."""
+        assert self._clock is None or now >= self._clock, \
+            "admission clock moved backwards"
         if now == self._clock:
             return
         for m in self.models:
@@ -298,6 +376,7 @@ class ModelSet:
             model = self.models[k]
             decay(model, now, self.config.ewma_window)
             self._counts[k] += agg.n * agg.vec
+            self._support[k] |= support_bits(agg.vec)
             model.evidence += agg.n
             model.last_update_ts = now
             self._smoothed[k] = smooth_rows(self._counts[k], self._layout,
@@ -321,10 +400,13 @@ class ModelSet:
         With changed, a row, given, only pairs involving that row (then the
         keeper's row after each merge) are scanned, which finds the same
         pairs as a full scan when no other pair is under the threshold.
-        Ties go to the lowest (i < j) pair."""
+        The pass ends unscanned when the supports prove every scanned row
+        separated from the rest.  Ties go to the lowest (i < j) pair."""
         merges: List[Tuple[int, int]] = []
         while len(self.models) >= 2:
             rows = range(len(self.models)) if changed is None else (changed,)
+            if all(separated(self._support, self._separating, k) for k in rows):
+                break
             best = (np.inf, 0, 0)
             for k in rows:
                 row = jsd_rows(self._smoothed, self._logq, self._wcol, k)

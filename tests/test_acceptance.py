@@ -161,7 +161,7 @@ def test_merge_convergence(scenario_kerb, scenario_five, scenario_periodic,
     counts = []
     for run in (scenario_kerb, scenario_five, scenario_periodic,
                 scenario_small):
-        counts.extend(run.engine.merge_counts)
+        counts.extend(run.engine.merge_counts.elements())
     merged = scenario_small.engine.counters()["models_merged"]
     report(7, f"merges per admission: max {max(counts)}, median "
               f"{statistics.median(counts):g} over {len(counts)} admissions; "

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from alertsynth.action_space import (COMPONENTS, Action, ConfigError,
                                      WeightConfig)
 from alertsynth.aggregation import build_aggregate
-from alertsynth.synthesis import (AttackModel, ModelSet, SynthConfig,
-                                  admission_bound, component_layout,
-                                  create_model, cross_entropy,
-                                  decay, jsd, jsd_component, jsd_rows,
-                                  kl_divergence, model_distance, smooth_rows,
-                                  smoothed_pmf)
+from alertsynth.synthesis import (JSD_FLOOR_SLACK, AttackModel, ModelSet,
+                                  SynthConfig, admission_bound,
+                                  binary_entropy, component_layout,
+                                  create_model, cross_entropy, decay,
+                                  disjoint_jsd_floor, jsd, jsd_component,
+                                  jsd_rows, kl_divergence, model_distance,
+                                  separated, separating_masks, smooth_rows,
+                                  smoothed_pmf, support_bits)
 from oracles import (admission_bound_ref, cross_entropy_ref, decay_ref,
                      jsd_component_ref, kl_ref, model_distance_ref,
                      model_jsd_ref, smoothed_ref)
@@ -529,6 +531,14 @@ class TestDecayAll:
         assert np.array_equal(ms._logq, rows[1])
         assert ms.models[ms.best_model(make_agg([1]))[0]].model_id == before
 
+    def test_first_call_decays_assigned_models(self):
+        ms = fresh_set()
+        m = create_model(make_agg([1] * 10), 0, 0)
+        ms.models = [m]
+        ms.decay_all(int(ms.config.ewma_window * 1e6))    # two half-lives
+        assert m.evidence == pytest.approx(2.5, rel=1e-12)
+        assert all(c.sum() == pytest.approx(2.5, rel=1e-12) for c in m.counts)
+
     def test_backwards_clock_is_contract_violation(self):
         ms = fresh_set()
         ms.decay_all(10)
@@ -594,6 +604,115 @@ class TestRouteEquivalence:
                 assert jsd(qi, qj, w, eps) == pytest.approx(
                     model_jsd_ref(qi.counts, qj.counts, w.vector, eps),
                     abs=1e-9)
+
+
+def one_hot_model(model_id, ais=1, service=4, n=10):
+    return create_model(make_agg([ais] * n, [service] * n), 0, model_id)
+
+
+class TestNoMergeCertificate:
+    """Disjoint count supports in a component whose weighted JSD floor is
+    above the merge threshold prove that a pair cannot merge; the merge
+    pass skips its scan only on that proof."""
+
+    def test_floor_values(self):
+        assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
+        assert binary_entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert disjoint_jsd_floor(12, 0.0) == pytest.approx(math.log(2.0),
+                                                            abs=1e-15)
+        assert disjoint_jsd_floor(45, EPS) == pytest.approx(
+            math.log(2.0) - binary_entropy(45e-6), abs=1e-15)
+        assert disjoint_jsd_floor(5, 0.1) == 0.0       # n * eps = 1/2
+
+    def test_default_masks_are_the_heavy_components(self):
+        masks = separating_masks(SynthConfig().weights, CARDS, EPS, 0.15)
+        assert masks == [(1 << 12) - 1, ((1 << 45) - 1) << 12,
+                         ((1 << 21) - 1) << 57]
+        # a 0.3 component alone puts a disjoint pair at 0.2078 or more
+        assert 0.3 * disjoint_jsd_floor(45, EPS) == pytest.approx(0.2078,
+                                                                  abs=1e-4)
+
+    def test_a_component_at_the_threshold_does_not_separate(self):
+        """Qualifying needs a floor strictly above the threshold; the ais
+        component has the highest of the four here."""
+        w = SynthConfig().weights
+        at = w.vector[0] * disjoint_jsd_floor(CARDS[0], EPS) - JSD_FLOOR_SLACK
+        assert separating_masks(w, CARDS, EPS, at) == []
+        below = math.nextafter(at, 0.0)
+        assert separating_masks(w, CARDS, EPS, below) == [(1 << 12) - 1]
+
+    def test_no_masks_separate_nothing(self):
+        assert not separated([0b01, 0b10], [], 0)
+        assert separated([0b01, 0b10], [0b11], 0)
+        assert not separated([0b01, 0b11], [0b11], 0)
+
+    def test_disjoint_rows_skip_the_scan(self, monkeypatch):
+        ms = fresh_set()
+        ms.models = [one_hot_model(0, service=30), one_hot_model(1, service=4)]
+        calls = []
+        monkeypatch.setattr("alertsynth.synthesis.jsd_rows",
+                            lambda *args: calls.append(args))
+        assert ms.merge_pass(0) == [] and ms.merge_pass() == []
+        assert calls == []
+
+    def test_an_associate_that_makes_rows_overlap_still_merges(self):
+        """Two models disjoint only in service; an aggregate that joins
+        model 0 with 40% of its mass on model 1's service widens model 0's
+        support into it and pulls the pair under the threshold."""
+        ms = fresh_set()
+        ms.models = [one_hot_model(0, service=30), one_hot_model(1, service=4)]
+        ms.created_total = 2
+        assert ms.merge_pass(0) == []
+        adm = ms.observe(make_agg([1] * 100, [30] * 60 + [4] * 40), 0)
+        assert (adm.model_id, adm.action, adm.merges) == (0, "associate",
+                                                          [(1, 0)])
+        assert [m.model_id for m in ms.models] == [0]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=st.integers(2, 59), log_eps=st.floats(-9.0, -3.0),
+           data=st.data())
+    def test_disjoint_supports_keep_jsd_above_the_floor(self, n, log_eps,
+                                                        data):
+        eps = 10.0 ** log_eps
+        side = data.draw(st.lists(st.sampled_from([0, 1, None]), min_size=n,
+                                  max_size=n).filter(
+                                      lambda s: 0 in s and 1 in s))
+        counts = [np.array([data.draw(st.floats(1e-3, 1e3)) if s == which
+                            else 0.0 for s in side]) for which in (0, 1)]
+        p, q = (smoothed_pmf(c, eps) for c in counts)
+        assert jsd_component(p, q) >= disjoint_jsd_floor(n, eps)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_certified_rows_have_no_pair_under_threshold(self, data):
+        cards = data.draw(st.lists(st.integers(2, 59), min_size=4, max_size=4))
+        weights = WeightConfig.normalized(*data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=4, max_size=4).filter(any)))
+        eps = 10.0 ** data.draw(st.floats(-9.0, -3.0))
+        # up to the heaviest component's ln 2 ceiling, near which the
+        # floor's h(n eps) term decides
+        threshold = (max(weights.vector) * math.log(2.0)
+                     * data.draw(st.floats(0.05, 1.0)))
+        # sparse rows: each component's counts on one or both of its first
+        # two columns, so that rows often coincide or are disjoint
+        cells = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 3)),
+                         min_size=1, max_size=2)
+        rows = data.draw(st.lists(st.lists(cells, min_size=4, max_size=4),
+                                  min_size=2, max_size=6))
+        counts = np.zeros((len(rows), sum(cards)))
+        starts = np.cumsum((0, *cards[:-1]))
+        for row, comps in zip(counts, rows):
+            for start, card, comp in zip(starts, cards, comps):
+                for col, c in comp:
+                    row[start + col % card] += c
+        smoothed = smooth_rows(counts, component_layout(cards), eps)
+        logq, wcol = np.log(smoothed), np.repeat(weights.vector, cards)
+        supports = [support_bits(row) for row in counts]
+        masks = separating_masks(weights, cards, eps, threshold)
+        for k in range(len(rows)):
+            if separated(supports, masks, k):
+                dist = jsd_rows(smoothed, logq, wcol, k)
+                assert np.delete(dist, k).min() >= threshold
 
 
 class FullScanSet(ModelSet):
@@ -739,6 +858,10 @@ class TestModelSetProperties:
                 assert np.all(np.abs(sums - 1.0) <= 1e-12)
             assert all(m.evidence >= 0 for m in ms.models)
             assert all((c >= 0).all() for m in ms.models for c in m.counts)
+            # each row's support bitset covers its nonzero counts
+            assert len(ms._support) == len(ms.models)
+            assert all(support_bits(row) & ~bits == 0
+                       for row, bits in zip(ms._counts, ms._support))
             live = {m.model_id for m in ms.models}
             for model_id in ms.genealogy:
                 seen = set()

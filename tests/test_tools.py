@@ -30,3 +30,14 @@ def test_set_without_equals_is_a_usage_error(digests_tool, capsys):
         digests_tool.main(["--scenarios", "", "--workloads", "", "--set", "foo"])
     assert exc.value.code == 2
     assert "KEY=VALUE" in capsys.readouterr().err
+
+
+def test_admissions_flag_appends_a_fourth_digest(digests_tool, capsys):
+    args = ["--scenarios", "small", "--workloads", ""]
+    assert digests_tool.main(args) == 0
+    plain = capsys.readouterr().out.split()
+    assert digests_tool.main(args + ["--admissions"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"small( [0-9a-f]{64}){3}", lines[0])
+    assert lines[0].split()[:3] == plain

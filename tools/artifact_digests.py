@@ -3,18 +3,21 @@ behaviour byte-identical.
 
     PYTHONPATH=src python3 tools/artifact_digests.py [ALERTS ...]
         [--set KEY=VALUE ...] [--scenarios kerb,five,periodic,small]
-        [--workloads kerb-flood,periodic-c2]
+        [--workloads kerb-flood,periodic-c2] [--admissions]
 
 Runs the end-to-end scenarios of the SCENARIOS table in tests/conftest.py
 (the one its fixtures read), then the benchmark workloads of
 bench/workloads.py, then each alerts file given, through
 alertsynth.export_cli.run, and prints one line per run:
 
-    <name> <export directory sha256> <counters line sha256>
+    <name> <export directory sha256> <counters line sha256> [<admissions sha256>]
 
 The export digest is the benchmark's (bench/checks.py): every file name and
 byte of models-*.json, evidence.csv and assignments.csv.  The counters
-digest covers the line run() prints, newline included.  Each workload's
+digest covers the line run() prints, newline included.  With --admissions a
+fourth digest covers the outcome of every ModelSet.observe call in order:
+model id, action, the exact bits of h_star and the merges, so that equal
+digests mean the model set took the same decisions.  Each workload's
 input is generated from its acceptance seed and run with its own config;
 --set entries are config keys applied on top of that to the workloads and
 to the given alerts files.  --scenarios '' and --workloads '' skip them.
@@ -27,7 +30,7 @@ import io
 import os
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
@@ -38,16 +41,39 @@ from workloads import WORKLOADS  # noqa: E402
 
 from alertsynth.export_cli import build_config, run  # noqa: E402
 from alertsynth.synth_harness import generate_scenario  # noqa: E402
+from alertsynth.synthesis import ModelSet  # noqa: E402
 
 
-def digests(alerts, config, out_dir):
-    """(export digest, counters digest) of one run() over alerts."""
-    captured = io.StringIO()
-    with redirect_stdout(captured):
+@contextmanager
+def recorded_admissions(digest):
+    """Within the block, feed one line per ModelSet.observe outcome into
+    digest."""
+    observe = ModelSet.observe
+
+    def recording(self, agg, now):
+        a = observe(self, agg, now)
+        h_star = "-" if a.h_star is None else a.h_star.hex()
+        digest.update(f"{a.model_id} {a.action} {h_star} {a.merges}\n"
+                      .encode("utf-8"))
+        return a
+
+    ModelSet.observe = recording
+    try:
+        yield
+    finally:
+        ModelSet.observe = observe
+
+
+def digests(alerts, config, out_dir, admissions=False):
+    """(export digest, counters digest) of one run() over alerts, and the
+    admissions digest when asked for."""
+    captured, decisions = io.StringIO(), hashlib.sha256()
+    with redirect_stdout(captured), recorded_admissions(decisions):
         run(build_config({**config, "source": f"file:{alerts}",
                           "export_dir": out_dir}))
     counters = captured.getvalue().encode("utf-8")
-    return export_digest(out_dir), hashlib.sha256(counters).hexdigest()
+    out = [export_digest(out_dir), hashlib.sha256(counters).hexdigest()]
+    return out + [decisions.hexdigest()] if admissions else out
 
 
 def pick(parser, flag, value, table):
@@ -68,6 +94,8 @@ def main(argv=None):
                         help="comma list of fixture scenarios ('' for none)")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma list of benchmark workloads ('' for none)")
+    parser.add_argument("--admissions", action="store_true",
+                        help="append a digest of every model-set admission")
     args = parser.parse_args(argv)
     bad = [entry for entry in args.set if "=" not in entry]
     if bad:
@@ -80,16 +108,18 @@ def main(argv=None):
             base = os.path.join(work, name)
             alerts, _ = SCENARIOS[name].generate(base)
             print(name, *digests(alerts, SCENARIOS[name].config,
-                                 os.path.join(base, "out")), flush=True)
+                                 os.path.join(base, "out"), args.admissions),
+                  flush=True)
         for name in workloads:
             w, base = WORKLOADS[name], os.path.join(work, name)
             alerts, _ = generate_scenario(w.specs, w.noise_rate, w.duration,
                                           w.seed, base)
             print(name, *digests(alerts, {**w.config, **config},
-                                 os.path.join(base, "out")), flush=True)
-        for k, path in enumerate(args.alerts):
-            print(path, *digests(path, config, os.path.join(work, f"file{k}")),
+                                 os.path.join(base, "out"), args.admissions),
                   flush=True)
+        for k, path in enumerate(args.alerts):
+            print(path, *digests(path, config, os.path.join(work, f"file{k}"),
+                                 args.admissions), flush=True)
     return 0
 
 
