@@ -365,16 +365,15 @@ class ModelSet:
     def observe(self, agg: Aggregate, now: int) -> Admission:
         """Assign one aggregate: decay, associate-or-create, then merge.
 
-        An associate folds the aggregate into its model's counts row (decay,
-        then add mass n; the one fold of an aggregate into a model) and
-        re-smooths that row."""
+        An associate folds the aggregate into its model's counts row (add
+        mass n to the row decay_all brought to now; the one fold of an
+        aggregate into a model) and re-smooths that row."""
         self.decay_all(now)
         best = self.best_model(agg)
         h_star = best[1] if best else None
         if self.admit(h_star) == "associate":
             k = best[0]
             model = self.models[k]
-            decay(model, now, self.config.ewma_window)
             self._counts[k] += agg.n * agg.vec
             self._support[k] |= support_bits(agg.vec)
             model.evidence += agg.n
