@@ -398,14 +398,15 @@ class ModelSet:
 
         With changed, a row, given, only pairs involving that row (then the
         keeper's row after each merge) are scanned, which finds the same
-        pairs as a full scan when no other pair is under the threshold.
-        The pass ends unscanned when the supports prove every scanned row
-        separated from the rest.  Ties go to the lowest (i < j) pair."""
+        pairs as a full scan when no other pair is under the threshold,
+        and the pass ends unscanned when the supports prove that row
+        separated from every other.  Ties go to the lowest (i < j) pair."""
         merges: List[Tuple[int, int]] = []
         while len(self.models) >= 2:
-            rows = range(len(self.models)) if changed is None else (changed,)
-            if all(separated(self._support, self._separating, k) for k in rows):
+            if changed is not None and separated(self._support,
+                                                 self._separating, changed):
                 break
+            rows = range(len(self.models)) if changed is None else (changed,)
             best = (np.inf, 0, 0)
             for k in rows:
                 row = jsd_rows(self._smoothed, self._logq, self._wcol, k)

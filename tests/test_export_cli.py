@@ -312,9 +312,11 @@ class TestRenderExport:
 class TestEvidenceSeries:
     def test_format(self):
         text = export_evidence_series([(T0_US, 0, 1.5), (T0_US, 1, 2.0),
+                                       (T0_US + 1_234_567, 2, 0.5),
                                        (T0_US, 4, 1 / 3)])
         assert text.splitlines() == ["2025-03-02T00:00:00.000000Z,0,1.5",
                                      "2025-03-02T00:00:00.000000Z,1,2",
+                                     "2025-03-02T00:00:01.234567Z,2,0.5",
                                      "2025-03-02T00:00:00.000000Z,4,0.333333333"]
         assert text.endswith("\n")
 

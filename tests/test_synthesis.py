@@ -652,7 +652,7 @@ class TestNoMergeCertificate:
         calls = []
         monkeypatch.setattr("alertsynth.synthesis.jsd_rows",
                             lambda *args: calls.append(args))
-        assert ms.merge_pass(0) == [] and ms.merge_pass() == []
+        assert ms.merge_pass(0) == [] and ms.merge_pass(1) == []
         assert calls == []
 
     def test_an_associate_that_makes_rows_overlap_still_merges(self):
@@ -716,7 +716,8 @@ class TestNoMergeCertificate:
 
 
 class FullScanSet(ModelSet):
-    """Reference twin: every merge pass scans every pair."""
+    """Reference twin: every merge pass scans every pair, with no
+    certificate to skip the scan."""
 
     def merge_pass(self, changed=None):
         return super().merge_pass()
