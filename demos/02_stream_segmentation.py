@@ -33,8 +33,8 @@ def drive(segmenter, times_s):
     last = None
     episodes = []
     for action in actions_at(times_s):
-        gap = None if last is None else (action.ts - last) / 1e6
-        episodes.extend(segmenter.feed(action, gap))
+        elapsed_us = None if last is None else action.ts - last
+        episodes.extend(segmenter.feed(action, elapsed_us))
         last = action.ts
     episodes.extend(segmenter.flush())
     return [len(ep) for ep in episodes]

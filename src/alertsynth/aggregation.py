@@ -10,13 +10,16 @@ Each segmenter also reports a horizon: given its stream's latest alert
 time, the event time past which the open buffer counts as closed, because
 the next alert would cut it anyway (threshold, control chart) or because
 the episode has gone quiet for a whole window (Gaussian).  The pipeline
-closes buffers whose horizon an export boundary has passed.
+closes buffers whose horizon an export boundary has passed.  Segmenters
+are fed the whole microseconds since the stream's previous alert, and a
+threshold or Gaussian horizon adds the integer its cut compares against.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,22 +86,25 @@ def longest_quiet_us(quiet: Callable[[int], bool]) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
-def within_us(seconds: float) -> Optional[int]:
-    """Largest d in microseconds with d / 1e6 <= seconds: a gap of d us is
-    not over the limit, one of d + 1 us is."""
-    return longest_quiet_us(lambda d: d / 1e6 <= seconds)
+def within_us(seconds: float) -> int:
+    """Whole microseconds of a duration, the one rule for every stage: the
+    largest d <= FAR_US with d / 1e6 <= seconds, the longest silence not
+    over it (0 for NaN).  Cached, as segmenters are built per stream."""
+    d = longest_quiet_us(lambda d: d / 1e6 <= seconds)
+    return FAR_US if d is None else d
 
 
 class ThresholdSegmenter:
     """Boundary wherever the gap between consecutive actions exceeds tau."""
 
     def __init__(self, tau: float) -> None:
-        self.tau = tau
+        self.tau_us = within_us(tau)
         self._buffer: List[Action] = []
 
-    def feed(self, action: Action, gap: Optional[float]) -> List[List[Action]]:
+    def feed(self, action: Action, elapsed_us: Optional[int]) -> List[List[Action]]:
+        """Buffer action; returns the run that elapsed_us over tau closes."""
         closed = []
-        if self._buffer and gap is not None and gap > self.tau:
+        if self._buffer and elapsed_us is not None and elapsed_us > self.tau_us:
             closed.append(self._buffer)
             self._buffer = []
         self._buffer.append(action)
@@ -106,8 +112,7 @@ class ThresholdSegmenter:
 
     def horizon(self, last_ts: int) -> Optional[int]:
         """last_ts + tau: an alert after it would cut the buffer."""
-        silence = within_us(self.tau) if self._buffer else None
-        return None if silence is None else last_ts + silence
+        return last_ts + self.tau_us if self._buffer else None
 
     def flush(self) -> List[List[Action]]:
         out = [self._buffer] if self._buffer else []
@@ -132,12 +137,13 @@ class GaussianSegmenter:
         self.sigma_bins = sigma_bins
         self.valley_frac = valley_frac
         self.window = window
+        self.window_us = within_us(window)
         self._buffer: List[Action] = []
         self._newest = 0          # the buffer's latest stamp, when nonempty
 
-    def feed(self, action: Action, gap: Optional[float]) -> List[List[Action]]:
+    def feed(self, action: Action, elapsed_us: Optional[int]) -> List[List[Action]]:
         closed: List[List[Action]] = []
-        if self._buffer and (action.ts - self._buffer[0].ts) / 1e6 > self.window:
+        if self._buffer and action.ts - self._buffer[0].ts > self.window_us:
             episodes = self._extract(self._buffer)
             if len(episodes) == 1:
                 closed.extend(episodes)
@@ -145,7 +151,7 @@ class GaussianSegmenter:
             else:
                 closed.extend(episodes[:-1])
                 self._buffer = episodes[-1]
-        elif self._buffer and (self._newest - action.ts) / 1e6 > self.window:
+        elif self._buffer and self._newest - action.ts > self.window_us:
             closed = self.flush()
         self._newest = max(self._newest, action.ts) if self._buffer else action.ts
         self._buffer.append(action)
@@ -154,8 +160,7 @@ class GaussianSegmenter:
     def horizon(self, last_ts: int) -> Optional[int]:
         """last_ts + window: after a window without alerts the buffered
         episodes are over."""
-        silence = within_us(self.window) if self._buffer else None
-        return None if silence is None else last_ts + silence
+        return last_ts + self.window_us if self._buffer else None
 
     def flush(self) -> List[List[Action]]:
         out = self._extract(self._buffer) if self._buffer else []
@@ -248,11 +253,11 @@ class ControlChartSegmenter:
         self.ks_alpha = ks_alpha
         self._reset([])
 
-    def feed(self, action: Action, gap: Optional[float]) -> List[List[Action]]:
+    def feed(self, action: Action, elapsed_us: Optional[int]) -> List[List[Action]]:
         if not self._buffer:
             self._buffer.append(action)
             return []
-        g = max(gap if gap is not None else 0.0, 0.0)
+        g = max(elapsed_us or 0, 0) / 1e6
         lg = math.log10(max(g, 1e-6))  # clamp keeps zero gaps finite
         limit = self._limit()
         if limit is not None and lg > limit and self._confirms(self._gaps + [g]):
@@ -310,14 +315,17 @@ class ControlChartSegmenter:
         return out
 
 
-def make_segmenter(name: str, *, tau: float, bin_width: float, sigma_bins: float,
-                   valley_frac: float, window_n: int, ks_alpha: float,
-                   window: float):
-    """Fresh per-stream segmenter of the configured kind."""
-    if name == "threshold":
-        return ThresholdSegmenter(tau)
-    if name == "gaussian":
-        return GaussianSegmenter(bin_width, sigma_bins, valley_frac, window)
-    if name == "controlchart":
-        return ControlChartSegmenter(window_n, ks_alpha)
-    raise ConfigError(f"unknown segmenter {name!r}")
+# segmenter name -> its constructor from the run's settings (a RunConfig)
+SEGMENTERS = {
+    "threshold": lambda c: ThresholdSegmenter(c.tau),
+    "gaussian": lambda c: GaussianSegmenter(c.bin_width, c.sigma_bins,
+                                            c.valley_frac, c.window),
+    "controlchart": lambda c: ControlChartSegmenter(c.window_n, c.ks_alpha),
+}
+
+
+def make_segmenter(name: str, **settings):
+    """A fresh per-stream segmenter from settings named as config keys."""
+    if name not in SEGMENTERS:
+        raise ConfigError(f"unknown segmenter {name!r}")
+    return SEGMENTERS[name](SimpleNamespace(**settings))

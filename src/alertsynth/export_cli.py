@@ -38,7 +38,8 @@ import numpy as np
 from .action_space import (COMPONENTS, Action, ConfigError, MappingTables,
                            WeightConfig, bin_elapsed_index, load_mappings,
                            map_ais_index, map_service_index, maneuver_index)
-from .aggregation import Aggregate, build_aggregate, make_segmenter
+from .aggregation import (FAR_US, SEGMENTERS, Aggregate, build_aggregate,
+                          within_us)
 from .ingest import Alert, IngestStats, SourceError, SourceSpec, open_source
 from .stream_tracker import StreamTracker
 from .synthesis import ModelSet, SynthConfig
@@ -105,13 +106,14 @@ class RunConfig:
             (0 < self.ks_alpha < 1, "ks_alpha must be in (0, 1)"),
             (self.clock_mode in ("event-time", "wall-time"),
              f"unknown clock_mode {self.clock_mode!r}"),
-            (self.segmenter in ("threshold", "gaussian", "controlchart"),
+            (self.segmenter in SEGMENTERS,
              f"unknown segmenter {self.segmenter!r}"),
             (self.source.kind in ("file-replay", "stdin", "tcp-listen"),
              f"unknown source kind {self.source.kind!r}"),
             (self.source.speedup >= 0, "speedup must be nonnegative"),
-            *((1 <= getattr(self, key) * 1e6 < math.inf,
-               f"{key} must be finite and at least 1 microsecond")
+            *((1 <= within_us(getattr(self, key)) < FAR_US,
+               f"{key} must be finite and at least 1 microsecond, "
+               "and under 2**53 microseconds")
               for key in _DURATION_KEYS),
         ]
         for ok, message in checks:
@@ -350,7 +352,7 @@ class Engine:
         self.merge_counts: Counter = Counter()
         # model id admitted for each raw_seq, -1 for a line never admitted
         self.assignments = array("q")
-        self._interval_us = int(config.export_interval * 1e6)
+        self._interval_us = within_us(config.export_interval)
         self._next_boundary: Optional[int] = None
         self._next_wall: Optional[float] = None
         self._last_export_ts: Optional[int] = None
@@ -386,7 +388,7 @@ class Engine:
         state = self.tracker.states[stream_id]
         runs = []
         if state.handle is None:
-            state.handle = self._new_segmenter()
+            state.handle = SEGMENTERS[self.config.segmenter](self.config)
         elif late:
             # a boundary between the clock and the open segment's horizon
             # would have closed the segment; close it here in the same way
@@ -395,24 +397,17 @@ class Engine:
             if horizon is not None and horizon < self.clock:
                 runs = state.handle.flush()
         port = alert.src_port if direction == "outbound" else alert.dst_port
-        gap = None if elapsed_us is None else elapsed_us / 1e6
         action = Action(
             ais=map_ais_index(alert, self.tables),
             service=map_service_index(port, alert.proto, self.tables),
             maneuver=maneuver_index(direction, transition),
-            timebin=bin_elapsed_index(gap),
+            timebin=bin_elapsed_index(
+                None if elapsed_us is None else elapsed_us / 1e6),
             ts=alert.ts, stream_id=stream_id, raw_seq=alert.raw_seq)
         self.actions_total += 1
-        for actions in runs + state.handle.feed(action, gap):
+        for actions in runs + state.handle.feed(action, elapsed_us):
             self._admit(build_aggregate(actions, self.tables.cardinalities),
                         self.clock)
-
-    def _new_segmenter(self):
-        c = self.config
-        return make_segmenter(c.segmenter, tau=c.tau, bin_width=c.bin_width,
-                              sigma_bins=c.sigma_bins, valley_frac=c.valley_frac,
-                              window_n=c.window_n, ks_alpha=c.ks_alpha,
-                              window=c.window)
 
     def _admit(self, agg: Aggregate, now: int) -> None:
         admission = self.model_set.observe(agg, now)
@@ -523,7 +518,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--source", help="file:PATH[:SPEEDUP] | stdin | tcp:HOST:PORT")
     parser.add_argument("--gamma", help="admission relaxation in (0,1], e.g. 2/3")
     parser.add_argument("--tau", help="threshold segmenter gap, e.g. 600s")
-    parser.add_argument("--segmenter", choices=["threshold", "gaussian", "controlchart"])
+    parser.add_argument("--segmenter", choices=list(SEGMENTERS))
     parser.add_argument("--window", help="moving window, e.g. 6h")
     parser.add_argument("--weights", help="component weights a,s,v,t")
     parser.add_argument("--export-interval", help="export period, e.g. 10m")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .action_space import Homenet
+from .aggregation import within_us
 from .ingest import Alert
 
 
@@ -45,8 +46,8 @@ class StreamTracker:
     def __init__(self, homenet: Homenet, pivot_horizon: float,
                  idle_timeout: float) -> None:
         self.homenet = homenet
-        self.pivot_horizon_us = int(pivot_horizon * 1e6)
-        self.idle_timeout_us = int(idle_timeout * 1e6)
+        self.pivot_horizon_us = within_us(pivot_horizon)
+        self.idle_timeout_us = within_us(idle_timeout)
         self.states: Dict[str, StreamState] = {}
         # internal ip -> {live stream_id: last_touch_us}, the one record of
         # what each stream touched; lets a pivot alert find every stream that
@@ -94,8 +95,9 @@ class StreamTracker:
         state.last_ts = max(state.last_ts, alert.ts)
         if state.armed > state.last_ts:
             # every deadline of a stream lies at or after its last alert,
-            # so waking there is never too late
-            self._arm(state, state.last_ts)
+            # so waking there is never too late; the later entry goes stale
+            heapq.heappush(self._queue, (state.last_ts, state.stream_id))
+            state.armed = state.last_ts
         if direction != "internal" or transition == "stream_start":
             # a pivot continues the maneuver laterally; the stream's dialogue
             # endpoints stay on the external exchange so the next anchored
@@ -130,11 +132,6 @@ class StreamTracker:
         state.armed = alert.ts
         self._unqueued[stream_id] = state
         return state
-
-    def _arm(self, state: StreamState, ts: int) -> None:
-        """Queue a wake-up for state at ts; any earlier entry goes stale."""
-        heapq.heappush(self._queue, (ts, state.stream_id))
-        state.armed = ts
 
     def _touch(self, state: StreamState, ts: int, *ips: str) -> None:
         """Stamp internal addresses as touched by state's stream."""

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action_space import COMPONENTS, ConfigError, WeightConfig
-from .aggregation import Aggregate
+from .aggregation import Aggregate, within_us
 
 
 @dataclass
@@ -303,6 +303,7 @@ class ModelSet:
         self.merged_total = 0
         self.retired_total = 0
         self.bound = admission_bound(config.weights, cardinalities, config.gamma)
+        self._window_us = within_us(config.ewma_window)
         self._clock: Optional[int] = None
         # each component's weight repeated over its vocabulary's columns
         self._wcol = np.repeat(config.weights.vector, cardinalities)
@@ -435,10 +436,9 @@ class ModelSet:
     def retire_pass(self, now: int) -> List[AttackModel]:
         """Drop models below the evidence floor and idle for over a window."""
         self.decay_all(now)
-        window_us = self.config.ewma_window * 1e6
         retired = [m for m in self.models
                    if m.evidence < self.config.retire_floor
-                   and now - m.last_update_ts > window_us]
+                   and now - m.last_update_ts > self._window_us]
         if retired:
             self.models = [m for m in self.models if m not in retired]
             self.retired_total += len(retired)

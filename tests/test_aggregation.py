@@ -24,6 +24,11 @@ def mk(ts_s, seq=0, ais=0, service=0, maneuver=0, timebin=0, stream="s"):
                   ts=int(ts_s * 1e6), stream_id=stream, raw_seq=seq)
 
 
+def us(gap_s):
+    """A gap in seconds as the whole microseconds feed takes."""
+    return None if gap_s is None else round(gap_s * 1e6)
+
+
 def random_actions(rng, n):
     return [mk(ts_s=rng.random() * 1000, seq=i, ais=rng.randrange(CARDS[0]),
                service=rng.randrange(CARDS[1]), maneuver=rng.randrange(CARDS[2]),
@@ -80,15 +85,15 @@ class TestThresholdSegmenter:
     def test_strictly_greater_than_tau_closes(self):
         seg = ThresholdSegmenter(tau=600.0)
         assert seg.feed(mk(0), None) == []
-        assert seg.feed(mk(600), 600.0) == []          # equal stays
-        closed = seg.feed(mk(1300), 600.1)
+        assert seg.feed(mk(600), 600_000_000) == []    # equal stays
+        closed = seg.feed(mk(1300), 600_100_000)
         assert len(closed) == 1 and len(closed[0]) == 2
         assert seg.flush() == [[mk(1300)]]
 
     def test_flush_returns_open_run_once(self):
         seg = ThresholdSegmenter(tau=10.0)
         seg.feed(mk(0, seq=0), None)
-        seg.feed(mk(1, seq=1), 1.0)
+        seg.feed(mk(1, seq=1), 1_000_000)
         out = seg.flush()
         assert len(out) == 1 and [a.raw_seq for a in out[0]] == [0, 1]
         assert seg.flush() == []
@@ -103,7 +108,7 @@ class TestThresholdSegmenter:
             gap = None if i == 0 else rng.random() * 12
             ts += gap or 0.0
             seqs.append(i)
-            batches.extend(seg.feed(mk(ts, seq=i), gap))
+            batches.extend(seg.feed(mk(ts, seq=i), us(gap)))
         batches.extend(seg.flush())
         seen = [a.raw_seq for b in batches for a in b]
         assert seen == seqs
@@ -134,7 +139,7 @@ class TestGaussianSegmenter:
         k = 0
         for base in (0.0, 1000.0):
             for i in range(20):
-                seg.feed(mk(base + i * 0.5, seq=k), None if k == 0 else 0.5)
+                seg.feed(mk(base + i * 0.5, seq=k), None if k == 0 else 500_000)
                 k += 1
         episodes = seg.flush()
         assert [len(e) for e in episodes] == [20, 20]
@@ -146,9 +151,9 @@ class TestGaussianSegmenter:
         k = 0
         for base in (0.0, 900.0):
             for i in range(10):
-                emitted.extend(seg.feed(mk(base + i * 0.1, seq=k), 0.1))
+                emitted.extend(seg.feed(mk(base + i * 0.1, seq=k), 100_000))
                 k += 1
-        emitted.extend(seg.feed(mk(2200.0, seq=k), 1300.0))
+        emitted.extend(seg.feed(mk(2200.0, seq=k), 1_300_000_000))
         assert [len(e) for e in emitted] == [10]
         assert [a.raw_seq for a in emitted[0]] == list(range(10))
         tail = seg.flush()
@@ -160,9 +165,9 @@ class TestGaussianSegmenter:
         seg = GaussianSegmenter(**self.kwargs(window=600.0))
         emitted = []
         for k in range(61):
-            emitted.extend(seg.feed(mk(k * 10.0, seq=k), 10.0))
+            emitted.extend(seg.feed(mk(k * 10.0, seq=k), 10_000_000))
         assert emitted == []
-        emitted = seg.feed(mk(700.0, seq=61), 100.0)
+        emitted = seg.feed(mk(700.0, seq=61), 100_000_000)
         assert [[a.raw_seq for a in e] for e in emitted] == [list(range(61))]
         assert [[a.raw_seq for a in e] for e in seg.flush()] == [[61]]
 
@@ -171,10 +176,23 @@ class TestGaussianSegmenter:
         seq = 0
         for b, per_bin in enumerate((5, 4, 3, 4, 5)):
             for i in range(per_bin):
-                seg.feed(mk(b * 60.0 + i * 60.0 / per_bin, seq=seq), 1.0)
+                seg.feed(mk(b * 60.0 + i * 60.0 / per_bin, seq=seq), 1_000_000)
                 seq += 1
         episodes = seg.flush()
         assert [len(e) for e in episodes] == [21]
+
+    @pytest.mark.parametrize("silence_us,over", [(8_200_000, False),
+                                                 (8_200_001, True)])
+    def test_window_is_whole_microseconds(self, silence_us, over):
+        """A window of 8.2 s is 8,200,000 us (8.2 * 1e6 truncates to
+        8,199,999): a span or a lateness of that many us is not over the
+        window, one us more is, and the horizon adds the same integer."""
+        for first, second in ((0, silence_us), (silence_us, 0)):
+            seg = GaussianSegmenter(**self.kwargs(window=8.2))
+            seg.feed(at_us(first), None)
+            assert seg.horizon(first) == first + 8_200_000
+            closed = seg.feed(at_us(second, 1), max(second - first, 0))
+            assert closed == ([[at_us(first)]] if over else [])
 
     def test_single_action(self):
         seg = GaussianSegmenter(**self.kwargs())
@@ -201,7 +219,7 @@ class TestGaussianSegmenter:
                   t0 - year, t0 - year + 1, t0 - year + 3600, t0 + 4, t0 + 5]
         emitted = []
         for k, ts in enumerate(stamps):
-            emitted.extend(seg.feed(mk(ts, seq=k), None if k == 0 else 1.0))
+            emitted.extend(seg.feed(mk(ts, seq=k), None if k == 0 else 1_000_000))
         emitted.extend(seg.flush())
         assert [[a.raw_seq for a in e] for e in emitted] == [
             [0, 1, 2], [3], [4, 5], [6], [7, 8], [9], [10, 11]]
@@ -264,7 +282,7 @@ def replay_controlchart(gaps, window_n=20, ks_alpha=0.01):
     seg.feed(mk(ts, seq=0), None)
     for k, g in enumerate(gaps):
         ts += g
-        if seg.feed(mk(ts, seq=k + 1), g):
+        if seg.feed(mk(ts, seq=k + 1), us(g)):
             boundaries.append(k)
     return boundaries
 
@@ -311,7 +329,7 @@ class TestControlChartSegmenter:
     def test_flush(self):
         seg = ControlChartSegmenter(window_n=20, ks_alpha=0.01)
         seg.feed(mk(0, seq=0), None)
-        seg.feed(mk(1, seq=1), 1.0)
+        seg.feed(mk(1, seq=1), 1_000_000)
         out = seg.flush()
         assert len(out) == 1 and [a.raw_seq for a in out[0]] == [0, 1]
         assert seg.flush() == []
@@ -323,10 +341,10 @@ def at_us(us, seq=0):
 
 
 def replayed(make, history):
-    """A fresh segmenter fed history, a list of (action, gap)."""
+    """A fresh segmenter fed history, a list of (action, elapsed_us)."""
     seg = make()
-    for action, gap in history:
-        seg.feed(action, gap)
+    for action, elapsed_us in history:
+        seg.feed(action, elapsed_us)
     return seg
 
 
@@ -344,22 +362,22 @@ class TestHorizons:
         seg.flush()
         assert seg.horizon(5_000_000) is None
 
-    @pytest.mark.parametrize("tau", [1e-6, 1 / 3, 0.1234567, 599.9999995,
+    @pytest.mark.parametrize("tau", [1e-6, 1 / 3, 0.1234567, 8.2, 599.9999995,
                                      600.0, 86400.1])
     def test_threshold_horizon_is_the_edge_of_the_cut(self, tau):
         history = [(at_us(0), None)]
         h = replayed(lambda: ThresholdSegmenter(tau), history).horizon(0)
         at = replayed(lambda: ThresholdSegmenter(tau), history)
         past = replayed(lambda: ThresholdSegmenter(tau), history)
-        assert at.feed(at_us(h, 1), h / 1e6) == []
-        assert past.feed(at_us(h + 1, 1), (h + 1) / 1e6) == [[at_us(0)]]
+        assert at.feed(at_us(h, 1), h) == []
+        assert past.feed(at_us(h + 1, 1), h + 1) == [[at_us(0)]]
 
     def test_gaussian_is_last_plus_window(self):
         seg = GaussianSegmenter(bin_width=60.0, sigma_bins=3.0,
                                 valley_frac=0.5, window=3600.0)
         assert seg.horizon(0) is None
         seg.feed(at_us(0), None)
-        seg.feed(at_us(30_000_000), 30.0)
+        seg.feed(at_us(30_000_000), 30_000_000)
         assert seg.horizon(30_000_000) == 3_630_000_000
         seg.flush()
         assert seg.horizon(30_000_000) is None
@@ -373,10 +391,10 @@ class TestHorizons:
         # the 8 s gap before it: D = 3/4 over the critical value 0.71
         for k, gap in enumerate([8.0, 1.0, 1.0]):
             ts += int(gap * 1e6)
-            seg.feed(at_us(ts, k + 1), gap)
+            seg.feed(at_us(ts, k + 1), int(gap * 1e6))
             assert seg.horizon(ts) is None
         ts += 1_000_000
-        seg.feed(at_us(ts, 4), 1.0)
+        seg.feed(at_us(ts, 4), 1_000_000)
         assert seg.horizon(ts) is not None
 
     def test_controlchart_none_when_ks_would_not_confirm(self):
@@ -385,9 +403,9 @@ class TestHorizons:
         seg = ControlChartSegmenter(window_n=20, ks_alpha=0.01)
         seg.feed(at_us(0), None)
         for k in range(1, 60):
-            seg.feed(at_us(k * 1_000_000, k), 1.0)
+            seg.feed(at_us(k * 1_000_000, k), 1_000_000)
         assert seg.horizon(59_000_000) is None
-        assert seg.feed(at_us(10**15, 60), 10**9) == []
+        assert seg.feed(at_us(10**15, 60), 10**15) == []
 
     def test_controlchart_any_alert_past_the_horizon_cuts(self):
         make = lambda: ControlChartSegmenter(window_n=4, ks_alpha=0.9)
@@ -404,11 +422,11 @@ class TestHorizons:
                     assert h >= last
                     for t in (h + 1, h + 1 + rng.randrange(10**9)):
                         cut = replayed(make, history).feed(
-                            at_us(t, -1), (t - last) / 1e6)
+                            at_us(t, -1), t - last)
                         assert len(cut) == 1
                 gap_us = int(rng.lognormvariate(0.0, 1.5) * 1e6)
                 last += gap_us
-                history.append((at_us(last, k), gap_us / 1e6))
+                history.append((at_us(last, k), gap_us))
                 seg.feed(*history[-1])
         assert seen > 100
 

@@ -170,12 +170,13 @@ class TestBuildConfig:
         assert build_config({"window": "1h",
                              "idle_timeout": "30m"}).idle_timeout == 1800.0
 
-    @pytest.mark.parametrize("value", ["inf", "1e400", "1e303", "1e-7"])
+    @pytest.mark.parametrize("value", ["inf", "1e400", "1e303", "1e-7", "1e10"])
     @pytest.mark.parametrize("key", ["tau", "bin_width", "window",
                                      "pivot_horizon", "idle_timeout",
                                      "export_interval"])
     def test_duration_not_finite_in_microseconds_is_fatal(self, key, value):
-        # 1e303 s is finite, but not in microseconds; 1e-7 s truncates to 0 us
+        # 1e303 s is finite, but not in microseconds; 1e-7 s truncates to
+        # 0 us; 1e10 s is 1e16 us, past 2**53
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             build_config({key: value})
 
@@ -368,6 +369,20 @@ class TestEngine:
         expected = [T0_US + int(m * 60 * 1e6) for m in (10, 20, 30, 35.5)]
         assert stamps == [f"models-{compact_ts(us)}.json" for us in expected]
         assert engine.exports_total == 4
+
+    def test_export_grid_is_whole_microseconds(self, tmp_path):
+        # 8.2 s is 8,200,000 us (8.2 * 1e6 truncates to 8,199,999); a whole
+        # second that is a multiple of 41 s lies on that grid, and the last
+        # alert is put on one so that the shutdown export does too
+        last = 41 - T0_US // 1_000_000 % 41 + 41
+        lines = [eve_line(float(s)) for s in (0, 1, 30, last)]
+        alerts = write_alerts(tmp_path / "a.json", lines)
+        run_engine(self.config(tmp_path, alerts, export_interval=8.2))
+        stamps = [os.path.basename(p) for p in export_files(str(tmp_path / "out"))]
+        expected = range(T0_US // 8_200_000 * 8_200_000 + 8_200_000,
+                         T0_US + last * 1_000_000 + 1, 8_200_000)
+        assert len(expected) > 5
+        assert stamps == [f"models-{compact_ts(us)}.json" for us in expected]
 
     def test_duplicate_export_ts_skipped(self, tmp_path):
         alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])

@@ -1,7 +1,9 @@
 """Stream keying, transition labels, pivots, and GC."""
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from alertsynth.ingest import Alert
@@ -175,6 +177,26 @@ class TestClockAndGC:
         assert (sid, trans) == ("internal#0", "stream_start")
         assert all(stream_id in t.states for entries in t._touch_index.values()
                    for stream_id in entries)
+
+
+class TestWholeMicrosecondLimits:
+    """A limit of 8.2 s is 8,200,000 us (8.2 * 1e6 truncates to 8,199,999):
+    a silence of that many us is not over it, one us more is."""
+
+    @pytest.mark.parametrize("silence_us,over", [(8_200_000, False),
+                                                 (8_200_001, True)])
+    def test_idle_timeout(self, tables, silence_us, over):
+        t = tracker(tables, idle_timeout=8.2)
+        t.assign(mk(0, EXT_A, INT_A))
+        assert [s.stream_id for s in t.gc(silence_us)] == ([EXT_A] if over else [])
+
+    @pytest.mark.parametrize("silence_us,over", [(8_200_000, False),
+                                                 (8_200_001, True)])
+    def test_pivot_horizon(self, tables, silence_us, over):
+        t = tracker(tables, horizon=8.2)
+        t.assign(mk(0, EXT_A, INT_A))
+        sid = t.assign(replace(mk(0, INT_A, INT_B), ts=silence_us))[0]
+        assert sid == ("internal#0" if over else EXT_A)
 
 
 class TestTotality:

@@ -469,8 +469,8 @@ class TestMerging:
 
 
 class TestRetirement:
-    def build(self, evidence, idle_s, now=int(1e9 * 1e6)):
-        ms = fresh_set()
+    def build(self, evidence, idle_s, now=int(1e9 * 1e6), **overrides):
+        ms = fresh_set(**overrides)
         m = create_model(make_agg([1] * 10), 0, 0)
         m.evidence = evidence
         m.last_update_ts = now - int(idle_s * 1e6)
@@ -499,6 +499,15 @@ class TestRetirement:
     def test_exact_floor_survives(self):
         ms, now = self.build(1.0, 30000.0)
         assert ms.retire_pass(now) == []
+
+    @pytest.mark.parametrize("idle_us,over", [(8_200_000, False),
+                                              (8_200_001, True)])
+    def test_window_is_whole_microseconds(self, idle_us, over):
+        """A window of 8.2 s is 8,200,000 us (8.2 * 1e6 is a hair under):
+        a weak model idle that many us stays, one us more retires it."""
+        ms, now = self.build(0.5, 0.0, ewma_window=8.2)
+        ms.models[0].last_update_ts = now - idle_us
+        assert [m.model_id for m in ms.retire_pass(now)] == ([0] if over else [])
 
 
 class TestDecayAll:

@@ -41,3 +41,12 @@ def test_admissions_flag_appends_a_fourth_digest(digests_tool, capsys):
     assert len(lines) == 1
     assert re.fullmatch(r"small( [0-9a-f]{64}){3}", lines[0])
     assert lines[0].split()[:3] == plain
+
+
+def test_set_applies_to_the_fixture_scenarios(digests_tool, capsys):
+    args = ["--scenarios", "small", "--workloads", ""]
+    assert digests_tool.main(args) == 0
+    plain = capsys.readouterr().out.split()
+    assert digests_tool.main(args + ["--set", "export_interval=300s"]) == 0
+    changed = capsys.readouterr().out.split()
+    assert changed[0] == "small" and changed[1] != plain[1]

@@ -17,10 +17,10 @@ byte of models-*.json, evidence.csv and assignments.csv.  The counters
 digest covers the line run() prints, newline included.  With --admissions a
 fourth digest covers the outcome of every ModelSet.observe call in order:
 model id, action, the exact bits of h_star and the merges, so that equal
-digests mean the model set took the same decisions.  Each workload's
-input is generated from its acceptance seed and run with its own config;
---set entries are config keys applied on top of that to the workloads and
-to the given alerts files.  --scenarios '' and --workloads '' skip them.
+digests mean the model set took the same decisions.  Each scenario's and
+workload's input is generated from its seed and run with its own config;
+--set entries are config keys applied on top of that to every run, the
+given alerts files included.  --scenarios '' and --workloads '' skip them.
 Run it before and after a change and diff the output.
 """
 
@@ -89,7 +89,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("alerts", nargs="*", help="alerts.jsonl files")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="config entry for the workloads and alerts files")
+                        help="config entry applied to every run")
     parser.add_argument("--scenarios", default=",".join(SCENARIOS),
                         help="comma list of fixture scenarios ('' for none)")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
@@ -107,7 +107,7 @@ def main(argv=None):
         for name in scenarios:
             base = os.path.join(work, name)
             alerts, _ = SCENARIOS[name].generate(base)
-            print(name, *digests(alerts, SCENARIOS[name].config,
+            print(name, *digests(alerts, {**SCENARIOS[name].config, **config},
                                  os.path.join(base, "out"), args.admissions),
                   flush=True)
         for name in workloads:
