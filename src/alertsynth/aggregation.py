@@ -136,7 +136,6 @@ class GaussianSegmenter:
         self.bin_width = bin_width
         self.sigma_bins = sigma_bins
         self.valley_frac = valley_frac
-        self.window = window
         self.window_us = within_us(window)
         self._buffer: List[Action] = []
         self._newest = 0          # the buffer's latest stamp, when nonempty

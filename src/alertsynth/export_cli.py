@@ -8,9 +8,9 @@ evidence.csv.
 
 The event-time clock (default) is the largest alert timestamp seen, and it
 drives decay, deadlines and export boundaries, which makes replays
-byte-identical.  At each boundary the stream tracker's deadline queue
-yields the streams whose open segment has passed its horizon and the
-streams idle past idle_timeout; their runs are admitted in (t_end,
+byte-identical.  At each boundary the stream tracker's pass over its due
+streams yields those whose open segment has passed its horizon and those
+idle past idle_timeout; their runs are admitted in (t_end,
 stream_id) order, stamped with the boundary, before retirement and the
 export.  An episode thus reaches the model set within its segmenter's
 horizon plus one export interval of its last alert (tau + interval for the

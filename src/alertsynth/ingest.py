@@ -5,11 +5,14 @@ in the run config adapts other IDS exports that use flat, differently
 named fields.  Records missing a timestamp or either endpoint address are
 counted and skipped, never fatal; addresses must be IPv4/IPv6 literals
 given as JSON strings.  Each is parsed here once, into its canonical text
-and its (version, int) key; no later stage parses address text.  File and
-TCP sources decode bytes that are not UTF-8 as U+FFFD.
+and its (version, int) key; no later stage parses address text.  File, TCP
+and stdin sources decode bytes that are not UTF-8 as U+FFFD, whatever the
+locale; a stand-in for sys.stdin that is not a TextIOWrapper is read as it
+is.
 """
 
 import calendar
+import io
 import json
 import socket
 import sys
@@ -217,6 +220,8 @@ def open_source(spec: SourceSpec, aliases: Optional[Dict[str, str]] = None,
     if spec.kind == "file-replay":
         lines = _file_lines(spec.target)
     elif spec.kind == "stdin":
+        if isinstance(sys.stdin, io.TextIOWrapper):  # a real stdin, not a stand-in
+            sys.stdin.reconfigure(encoding="utf-8", errors="replace")
         lines = iter(sys.stdin)
     elif spec.kind == "tcp-listen":
         lines = _tcp_lines(spec.target)

@@ -5,12 +5,12 @@ alerts it originates (inbound), the replies feeding back to it (outbound),
 and internal continuations of the same maneuver (pivots).  Purely internal
 chains with no qualifying pivot ancestor get synthetic stream keys.
 
-One deadline queue, a min-heap of (time, stream_id), wakes the tracker for
-both kinds of stream deadline: the horizon of the stream's open segment and
-its eviction once idle.  Entries are invalidated lazily; see gc.
+Each stream carries a due stamp, no later than its earliest deadline: the
+horizon of its open segment or its eviction once idle.  At each export
+boundary gc passes over the stream table once and checks only the streams
+that are due; see gc.
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -29,7 +29,7 @@ class StreamState:
     last_dst: str
     handle: object = None        # open segmenter, owned by the pipeline;
                                  # None until the first alert and once closed
-    armed: int = 0               # time of the stream's live queue entry
+    due: int = 0                 # gc checks the stream once now passes this
 
 
 def _direction(src_in: bool, dst_in: bool) -> str:
@@ -54,10 +54,6 @@ class StreamTracker:
         # recently touched its source host (lookups prune stale stamps)
         self._touch_index: Dict[str, Dict[str, int]] = {}
         self._synthetic_seq = 0
-        self._queue: List[Tuple[int, str]] = []
-        # new streams not queued yet, by id; the next gc checks each one
-        # directly and queues it at its next deadline
-        self._unqueued: Dict[str, StreamState] = {}
         # streams whose open segment's horizon the last gc passed; the
         # pipeline closes their segments
         self.quiet: List[StreamState] = []
@@ -93,11 +89,9 @@ class StreamTracker:
                 self._touch(state, alert.ts, internal_end)
 
         state.last_ts = max(state.last_ts, alert.ts)
-        if state.armed > state.last_ts:
-            # every deadline of a stream lies at or after its last alert,
-            # so waking there is never too late; the later entry goes stale
-            heapq.heappush(self._queue, (state.last_ts, state.stream_id))
-            state.armed = state.last_ts
+        # every deadline of a stream lies at or after its last alert, so a
+        # check there is never too late
+        state.due = state.last_ts
         if direction != "internal" or transition == "stream_start":
             # a pivot continues the maneuver laterally; the stream's dialogue
             # endpoints stay on the external exchange so the next anchored
@@ -127,10 +121,6 @@ class StreamTracker:
         state = StreamState(stream_id=stream_id, last_ts=alert.ts,
                             last_src=alert.src_ip, last_dst=alert.dst_ip)
         self.states[stream_id] = state
-        # not queued yet, but due at its first alert: the rule in assign
-        # leaves it alone, as its time is never later than last_ts
-        state.armed = alert.ts
-        self._unqueued[stream_id] = state
         return state
 
     def _touch(self, state: StreamState, ts: int, *ips: str) -> None:
@@ -161,41 +151,19 @@ class StreamTracker:
         list in self.quiet the live streams whose open segment's horizon
         (its handle's horizon(last_ts)) lies before now.
 
-        Neither check scans the stream table: the queue holds for each
-        stream one live wake-up no later than its earliest deadline, and
-        a stream started since the last gc is due at its first alert, so
-        gc checks it directly and queues it at its next deadline.  A
-        stream's alert re-arms it at its last_ts when its entry lies later,
-        which leaves that entry stale.  gc pops the entries before now,
-        drops the stale ones (stream gone, or armed at another time) and
-        checks the rest against the stream's deadlines at this moment."""
+        One pass over the stream table checks only the streams due before
+        now: each stream's due stamp is no later than its earliest
+        deadline, since an alert sets it to the stream's last_ts and a
+        check to the next wake-up."""
         evicted: List[StreamState] = []
         self.quiet = []
-        queue, states = self._queue, self.states
-        for state in self._unqueued.values():
+        for state in [s for s in self.states.values() if s.due < now]:
             wake = self._check(state, now)
             if wake is None:
-                del states[state.stream_id]
+                del self.states[state.stream_id]
                 evicted.append(state)
             else:
-                heapq.heappush(queue, (wake, state.stream_id))
-                state.armed = wake
-        self._unqueued.clear()
-        while queue and queue[0][0] < now:
-            ts, stream_id = queue[0]
-            state = states.get(stream_id)
-            if state is None or state.armed != ts:
-                heapq.heappop(queue)
-                continue
-            wake = self._check(state, now)
-            if wake is None:
-                heapq.heappop(queue)
-                del states[stream_id]
-                evicted.append(state)
-            else:
-                # heapreplace pops this entry and pushes its successor in one sift
-                heapq.heapreplace(queue, (wake, stream_id))
-                state.armed = wake
+                state.due = wake
         if evicted:  # the index holds live streams only
             for ip, entries in list(self._touch_index.items()):
                 for stream_id in [s for s in entries if s not in self.states]:

@@ -223,7 +223,7 @@ class TestGaussianSegmenter:
         emitted.extend(seg.flush())
         assert [[a.raw_seq for a in e] for e in emitted] == [
             [0, 1, 2], [3], [4, 5], [6], [7, 8], [9], [10, 11]]
-        assert binned and max(binned) <= seg.window / seg.bin_width + 1
+        assert binned and max(binned) <= seg.window_us / 1e6 / seg.bin_width + 1
 
     @pytest.mark.parametrize("sigma_bins", [0.5, 3.0, 12.0])
     def test_long_silences_cut_as_when_binned_in_full(self, sigma_bins):

@@ -1,9 +1,9 @@
 """Quiet episodes close at export boundaries.
 
-The deadline queue behind StreamTracker.gc against a full scan of the
-stream table, the segment partition that boundary closures leave
-unchanged, the admission lag they bound, and the bounded catch-up after a
-timestamp jump.
+StreamTracker.gc, which checks only the streams whose due stamp has
+passed, against a full check of every stream; the segment partition that
+boundary closures leave unchanged, the admission lag they bound, and the
+bounded catch-up after a timestamp jump.
 """
 
 import json

@@ -728,6 +728,21 @@ class TestMain:
         assert done.stderr == ""
         assert "usage:" in done.stdout
 
+    def test_stdin_decodes_a_bad_byte_under_a_strict_encoding(self, tmp_path):
+        """A real stdin decodes as the file and TCP sources do: a line that
+        is not UTF-8 is rejected, not fatal, even where the interpreter's
+        stdin encoding is strict."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   PYTHONIOENCODING="utf-8:strict")
+        done = subprocess.run(
+            [sys.executable, "-m", "alertsynth.export_cli", "--source", "stdin",
+             "--export-dir", str(tmp_path)],
+            input=eve_line(0).encode() + b"\n\xff\n", env=env,
+            capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert b"parsed=1 " in done.stdout
+        assert (tmp_path / "assignments.csv").exists()
+
     def test_package_root_serves_the_engine_names(self):
         import alertsynth
         from alertsynth import Engine as engine_cls, RunConfig as config_cls

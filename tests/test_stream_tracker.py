@@ -318,8 +318,8 @@ class TestTrackerProperties:
 
 
 class TestNewStreams:
-    """gc checks a stream started since the last gc directly, then queues
-    it once at its next deadline."""
+    """A stream started since the last gc is due at its first alert; gc
+    checks it then and makes it due at its next deadline."""
 
     def new_stream(self, tables, silence_s):
         t = tracker(tables, idle_timeout=3600.0)
@@ -328,27 +328,29 @@ class TestNewStreams:
         state.handle.silence_us = None if silence_s is None else int(silence_s * 1e6)
         return t, state
 
-    def test_queued_once_at_its_horizon(self, tables):
+    def test_due_at_its_horizon(self, tables):
         t, state = self.new_stream(tables, 60)
-        assert t._queue == []
+        assert state.due == int(10 * 1e6)               # its first alert
         assert t.gc(int(10 * 1e6)) == [] and t.quiet == []
-        assert t._queue == [(int(70 * 1e6), EXT_A)]     # the one entry
+        assert state.due == int(10 * 1e6)               # not due before 10 s
+        assert t.gc(int(11 * 1e6)) == [] and t.quiet == []
+        assert state.due == int(70 * 1e6)               # its horizon
         assert t.gc(int(70 * 1e6)) == [] and t.quiet == []
-        assert t._queue == [(int(70 * 1e6), EXT_A)]     # not visited
+        assert state.due == int(70 * 1e6)               # not checked
         assert t.gc(int(71 * 1e6)) == [] and t.quiet == [state]
 
-    def test_queued_at_its_eviction_without_a_horizon(self, tables):
+    def test_due_at_its_eviction_without_a_horizon(self, tables):
         t, state = self.new_stream(tables, None)
         assert t.gc(int(11 * 1e6)) == [] and t.quiet == []
-        assert t._queue == [(int(3610 * 1e6), EXT_A)]
+        assert state.due == int(3610 * 1e6)
         assert t.gc(int(3611 * 1e6)) == [state]
 
     def test_quiet_at_its_first_gc_when_the_horizon_passed(self, tables):
         t, state = self.new_stream(tables, 60)
         assert t.gc(int(71 * 1e6)) == [] and t.quiet == [state]
-        assert t._queue == [(int(3610 * 1e6), EXT_A)]   # its eviction
+        assert state.due == int(3610 * 1e6)             # its eviction
 
     def test_evicted_at_its_first_gc_when_idle_past_the_timeout(self, tables):
         t, state = self.new_stream(tables, 60)
         assert t.gc(int(3611 * 1e6)) == [state] and t.quiet == []
-        assert t._queue == [] and t.states == {} and t._touch_index == {}
+        assert t.states == {} and t._touch_index == {}
