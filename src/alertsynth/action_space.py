@@ -100,15 +100,13 @@ class WeightConfig:
         return (self.w_a, self.w_s, self.w_v, self.w_t)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Action:
     """One alert encoded as a point in the action space.
 
     Component values are stored as vocabulary indices; the mapping tables
     hold the index-to-label correspondence.
     """
-
-    __slots__ = ("ais", "service", "maneuver", "timebin", "ts", "stream_id", "raw_seq")
 
     ais: int
     service: int
@@ -131,7 +129,10 @@ class Homenet:
 
     def contains(self, key: Tuple[int, int]) -> bool:
         version, value = key
-        return any(value & mask == base for base, mask in self._ranges[version])
+        for base, mask in self._ranges[version]:
+            if value & mask == base:
+                return True
+        return False
 
 
 class MappingTables:

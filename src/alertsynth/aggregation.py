@@ -40,13 +40,15 @@ def _column_offsets(cardinalities: Tuple[int, ...]) -> Tuple[int, ...]:
 @dataclass(slots=True)
 class Aggregate:
     """A temporally contiguous batch of actions from one stream, as the model
-    set sees it: its pmfs, size, the lines it covers and its latest time."""
+    set sees it: its pmfs, size, the lines it covers, its latest time and
+    its support."""
 
     raw_seqs: List[int]          # of the actions, in arrival order
     vec: np.ndarray              # the component pmfs side by side
     n: int
     t_end: int                   # latest action ts, microseconds
     edges: Tuple[int, ...]       # start column of each component, then the width
+    support: int                 # bit i set iff vec[i] > 0
 
     @property
     def pmfs(self) -> List[np.ndarray]:
@@ -56,16 +58,20 @@ class Aggregate:
 
 def build_aggregate(actions: Sequence[Action],
                     cardinalities: Tuple[int, int, int, int]) -> Aggregate:
-    """Empirical pmfs of a nonempty action batch: one bincount of offset values."""
+    """Empirical pmfs of a nonempty action batch: one bincount of offset
+    values, whose distinct columns are the support."""
     assert len(actions) > 0, "aggregate needs at least one action"
     n = len(actions)
     edges = _column_offsets(tuple(cardinalities))
     _, s, m, t, width = edges
-    vec = np.bincount([v for a in actions for v in
-                       (a.ais, a.service + s, a.maneuver + m, a.timebin + t)],
-                      minlength=width) / n
-    return Aggregate([a.raw_seq for a in actions], vec, n,
-                     max([a.ts for a in actions]), edges)
+    columns = [v for a in actions for v in
+               (a.ais, a.service + s, a.maneuver + m, a.timebin + t)]
+    support = 0
+    for c in set(columns):
+        support |= 1 << c
+    return Aggregate([a.raw_seq for a in actions],
+                     np.bincount(columns, minlength=width) / n, n,
+                     max([a.ts for a in actions]), edges, support)
 
 
 # silences from here on (2**53 us, about 285 years) set no deadline

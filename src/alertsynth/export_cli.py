@@ -412,9 +412,9 @@ class Engine:
     def _admit(self, agg: Aggregate, now: int) -> None:
         admission = self.model_set.observe(agg, now)
         self.merge_counts[len(admission.merges)] += 1
-        # pad to the largest seq (an array times a count below 1 is empty)
-        self.assignments.extend(
-            array("q", [-1]) * (max(agg.raw_seqs) + 1 - len(self.assignments)))
+        short = max(agg.raw_seqs) + 1 - len(self.assignments)
+        if short > 0:  # pad to the largest seq
+            self.assignments.extend(array("q", [-1]) * short)
         for seq in agg.raw_seqs:
             self.assignments[seq] = admission.model_id
         self.aggregates_total += 1

@@ -4,22 +4,22 @@ Input is JSON-lines with Suricata-EVE style field names.  A key-alias map
 in the run config adapts other IDS exports that use flat, differently
 named fields.  Records missing a timestamp or either endpoint address are
 counted and skipped, never fatal; addresses must be IPv4/IPv6 literals
-given as JSON strings.  Each is parsed here once, into its canonical text
-and its (version, int) key; no later stage parses address text.  File, TCP
+given as JSON strings.  Each is parsed here once, by the C socket
+functions, into the canonical text ipaddress would give and its
+(version, int) key; no later stage parses address text.  File, TCP
 and stdin sources decode bytes that are not UTF-8 as U+FFFD, whatever the
 locale; a stand-in for sys.stdin that is not a TextIOWrapper is read as it
 is.
 """
 
-import calendar
 import io
 import json
 import socket
 import sys
 import time
 from dataclasses import dataclass
-from datetime import datetime
-from ipaddress import ip_address
+from datetime import datetime, timedelta, timezone
+from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 from typing import Dict, Iterator, Optional, Tuple
 
 
@@ -80,14 +80,22 @@ class IngestStats:
 
 
 _PROTOCOLS = frozenset(("tcp", "udp", "icmp"))
+_NO_FIELDS: Dict[str, str] = {}
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_US = timedelta(microseconds=1)
+# the first and last microsecond of years 1..9999 UTC
+_MIN_US = (datetime.min - _NAIVE_EPOCH) // _US
+_MAX_US = (datetime.max - _NAIVE_EPOCH) // _US
 
 
 def parse_timestamp(value) -> int:
     """Timestamp value to integer microseconds since epoch (UTC).
 
-    Accepts ISO-8601 strings (with Z, +HH:MM, or +HHMM offsets; naive means
-    UTC) and numeric epoch seconds; NaN, infinities and epochs outside
-    years 1..9999 raise ValueError.
+    Accepts ISO-8601 strings (with Z, +HH:MM, or +HHMM offsets, sub-second
+    ones included; naive means UTC) and numeric epoch seconds; NaN,
+    infinities and times outside years 1..9999 UTC raise ValueError.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         # years 1..9999 UTC, a second in from each end; false for NaN too
@@ -102,12 +110,34 @@ def parse_timestamp(value) -> int:
     elif len(text) >= 5 and text[-5] in "+-" and text[-4:].isdigit():
         text = text[:-4] + text[-4:-2] + ":" + text[-2:]
     dt = datetime.fromisoformat(text)
-    try:
-        utc = dt.utctimetuple()
-    except OverflowError:  # the offset moves it out of years 1..9999
+    # timedelta floor division: integer microseconds, offset included
+    us = (dt - (_NAIVE_EPOCH if dt.tzinfo is None else _EPOCH)) // _US
+    if not _MIN_US <= us <= _MAX_US:  # the offset moved it out of range
         raise ValueError(f"timestamp {value!r} out of range")
-    # integer arithmetic end to end so microseconds survive exactly
-    return calendar.timegm(utc) * 1_000_000 + dt.microsecond
+    return us
+
+
+def parse_address(text: str) -> Tuple[str, Tuple[int, int]]:
+    """Canonical text and (version, int) key of an IPv4 or IPv6 literal,
+    both as ipaddress gives them.  Raises ValueError for anything else:
+    host names, scoped IPv6 (fe80::1%eth0), embedded NULs."""
+    try:
+        packed = inet_pton(AF_INET, text)
+        return inet_ntop(AF_INET, packed), (4, int.from_bytes(packed, "big"))
+    except OSError:
+        pass
+    try:
+        packed = inet_pton(AF_INET6, text)
+    except OSError:
+        raise ValueError(f"not an IP address literal: {text!r}")
+    key = int.from_bytes(packed, "big")
+    canonical = inet_ntop(AF_INET6, packed)
+    if "." in canonical:
+        # inet_ntop writes ::a.b.c.d and ::ffff:a.b.c.d with a dotted tail,
+        # ipaddress with the low 32 bits as two hex groups
+        canonical = "%s%x:%x" % (canonical[:canonical.rindex(":") + 1],
+                                 key >> 16 & 0xFFFF, key & 0xFFFF)
+    return canonical, (6, key)
 
 
 def _port(value) -> Optional[int]:
@@ -131,15 +161,14 @@ def parse_alert_line(line: str, seq: int,
     if not isinstance(record, dict):
         raise ParseError(line[:120])
 
-    def get(canonical, nested=False):
-        if aliases and canonical in aliases:
-            return record.get(aliases[canonical])
-        if nested:
-            sub = record.get("alert")
-            return sub.get(canonical) if isinstance(sub, dict) else None
-        return record.get(canonical)
+    # an alias names a top-level key, wherever the canonical field lives
+    renamed = aliases or _NO_FIELDS
+    key = renamed.get
+    get = record.get
+    sub = get("alert")
+    nested = sub if isinstance(sub, dict) else _NO_FIELDS
 
-    ts_raw = get("timestamp")
+    ts_raw = get(key("timestamp", "timestamp"))
     if ts_raw is None:
         raise MissingField("timestamp")
     try:
@@ -149,30 +178,33 @@ def parse_alert_line(line: str, seq: int,
 
     endpoints = []
     for name in ("src_ip", "dest_ip"):
-        raw = get(name)
+        raw = get(key(name, name))
         if not isinstance(raw, str):
             raise MissingField(name)  # absent, or a JSON number or bool
         try:
-            endpoints.append(ip_address(raw))
+            endpoints.append(parse_address(raw))
         except ValueError:
             raise MissingField(name)  # host names are not accepted here
-    src, dst = endpoints
+    (src_ip, src_key), (dst_ip, dst_key) = endpoints
 
-    proto = str(get("proto") or "").lower()
+    proto = str(get(key("proto", "proto")) or "").lower()
     if proto not in _PROTOCOLS:
         proto = "other"
 
-    sig_id = get("signature_id", nested=True)
+    sig_id = (get(renamed["signature_id"]) if "signature_id" in renamed
+              else nested.get("signature_id"))
     if isinstance(sig_id, bool) or not isinstance(sig_id, int):
         sig_id = 0
-    sig_text = get("signature", nested=True)
+    sig_text = (get(renamed["signature"]) if "signature" in renamed
+                else nested.get("signature"))
     if not isinstance(sig_text, str):
         sig_text = ""
 
     # canonical text, so 2001:DB8::1 and 2001:db8::1 are one stream
-    return Alert(ts=ts, src_ip=str(src), dst_ip=str(dst),
-                 src_key=(src.version, int(src)), dst_key=(dst.version, int(dst)),
-                 src_port=_port(get("src_port")), dst_port=_port(get("dest_port")),
+    return Alert(ts=ts, src_ip=src_ip, dst_ip=dst_ip,
+                 src_key=src_key, dst_key=dst_key,
+                 src_port=_port(get(key("src_port", "src_port"))),
+                 dst_port=_port(get(key("dest_port", "dest_port"))),
                  proto=proto, signature_id=sig_id, signature_text=sig_text,
                  raw_seq=seq)
 

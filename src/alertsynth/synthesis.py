@@ -85,13 +85,16 @@ def smooth_rows(counts: np.ndarray, layout: Tuple[np.ndarray, np.ndarray],
     """Smoothed pmfs of rows of side-by-side count vectors laid out as
     component_layout gives: each component normalized, its zero cells
     floored at eps, renormalized.  Each sum is one reduceat over the
-    component starts, which adds in column order, so a row comes out the
-    same bits whether it is smoothed alone, as a 1-D row, or among others."""
+    component starts, which sends every segment through the same summation
+    loop (not a left-to-right one), so a row comes out the same bits
+    whether it is smoothed alone, as a 1-D row, or among others."""
     starts, component = layout
     totals = np.add.reduceat(counts, starts, axis=-1)
-    assert (totals > 0).all(), "smoothing needs nonzero count vectors"
+    # over a list, far cheaper than an array compare for one row; NaN fails
+    assert all(map((0.0).__lt__, totals.ravel().tolist())), \
+        "smoothing needs nonzero count vectors"
     p = counts / totals.take(component, axis=-1)
-    p[p == 0] = eps
+    np.putmask(p, p == 0, eps)
     return p / np.add.reduceat(p, starts, axis=-1).take(component, axis=-1)
 
 
@@ -280,10 +283,10 @@ class ModelSet:
     Before scanning a row, merge_pass tries to prove the scan futile: each
     live row keeps a bitset covering its nonzero count columns (set from
     the counts whenever models are assigned, widened by each associate's
-    columns; decay only shrinks counts), and when every other row is
-    disjoint from the scanned one in some component whose weighted JSD
-    floor is above the merge threshold (see the module docstring), no pair
-    can merge and the pass ends.  Otherwise the exact scan runs; identical
+    Aggregate.support; decay only shrinks counts), and when every other
+    row is disjoint from the scanned one in some component whose weighted
+    JSD floor is above the merge threshold (see the module docstring), no
+    pair can merge and the pass ends.  Otherwise the exact scan runs; identical
     rows always overlap, so they are still scored exactly 0.
     """
 
@@ -376,7 +379,7 @@ class ModelSet:
             k = best[0]
             model = self.models[k]
             self._counts[k] += agg.n * agg.vec
-            self._support[k] |= support_bits(agg.vec)
+            self._support[k] |= agg.support
             model.evidence += agg.n
             model.last_update_ts = now
             self._smoothed[k] = smooth_rows(self._counts[k], self._layout,

@@ -13,6 +13,7 @@ from alertsynth.aggregation import (FAR_US, ControlChartSegmenter,
                                     build_aggregate, gaussian_smooth,
                                     ks_critical, ks_statistic,
                                     longest_quiet_us, make_segmenter)
+from alertsynth.synthesis import support_bits
 from oracles import (controlchart_boundaries_ref, gaussian_smooth_ref,
                      ks_critical_ref, ks_stat_ref, pmf_by_counting)
 
@@ -53,6 +54,14 @@ class TestBuildAggregate:
                 parts.append(np.bincount(values, minlength=card) / len(actions))
             # one bincount over offset values equals one per component
             assert np.array_equal(agg.vec, np.concatenate(parts))
+
+    def test_support_is_the_bitset_of_nonzero_columns(self):
+        """The support build_aggregate takes from the column indices is the
+        bitset the model set would take from the vector."""
+        rng = random.Random(11)
+        for _ in range(200):
+            agg = build_aggregate(random_actions(rng, rng.randint(1, 40)), CARDS)
+            assert agg.support == support_bits(agg.vec)
 
     def test_metadata(self):
         actions = [mk(5.0, seq=3), mk(1.0, seq=9), mk(2.0, seq=4)]

@@ -43,6 +43,11 @@ class TestParseTimestamp:
         # integer arithmetic end to end, no float rounding of the epoch
         assert parse_timestamp("2025-03-02T00:00:00.000001Z") == T0 + 1
 
+    def test_sub_second_offset(self):
+        # 00:00:01.7 at UTC+1.25 s is 00:00:00.45 UTC
+        assert parse_timestamp(
+            "2025-03-02T00:00:01.700000+00:00:01.250000") == T0 + 450_000
+
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             parse_timestamp("yesterday")
@@ -163,10 +168,14 @@ class TestParseAlertLine:
         rec = json.loads(GOOD)
         rec["@timestamp"] = rec.pop("timestamp")
         rec["source_address"] = rec.pop("src_ip")
-        aliases = {"timestamp": "@timestamp", "src_ip": "source_address"}
+        rec["rule_id"] = 7   # an alias reads a nested field from the top level
+        aliases = {"timestamp": "@timestamp", "src_ip": "source_address",
+                   "signature_id": "rule_id"}
         a = parse_alert_line(json.dumps(rec), 0, aliases)
         assert a.ts == T0 + 1_234_567
         assert a.src_ip == "198.51.100.7"
+        assert a.signature_id == 7
+        assert a.signature_text == "ET TEST hello"  # not aliased: still nested
 
 
 JSON_VALUES = st.recursive(
@@ -191,6 +200,12 @@ ADDRESSES = st.one_of(
     QUADS.map(lambda q: ".".join(map(str, q))),
     QUADS.map(lambda q: ".".join(f"{x:03d}" for x in q)),    # leading zeros
     st.ip_addresses(v=4).map(lambda a: f"::ffff:{a}"),
+    st.ip_addresses(v=4).map(lambda a: f"::{a}"),           # IPv4-compatible
+    QUADS.map(lambda q: "::" + ".".join(map(str, q))),
+    # dotted tails with a zero group: ::0.0.a.b, ::a.b.0.0 and mapped ones
+    st.integers(0, 0xFFFF).map(lambda x: f"::{ipaddress.IPv4Address(x)}"),
+    st.integers(0, 0xFFFF).map(lambda x: f"::{ipaddress.IPv4Address(x << 16)}"),
+    st.integers(0, 0xFFFF).map(lambda x: f"::ffff:{ipaddress.IPv4Address(x)}"),
     st.ip_addresses().map(int),
     JSON_VALUES)
 RECORDS = st.fixed_dictionaries(
@@ -242,13 +257,13 @@ class TestOneParsePerEndpoint:
                                "export_dir": str(tmp_path / "out")})
         engine = Engine(config)
         parses = []
-        real = ipaddress.ip_address
+        real = alertsynth.ingest.parse_address
 
         def spy(text):
             parses.append(text)
             return real(text)
 
-        monkeypatch.setattr(alertsynth.ingest, "ip_address", spy)
+        monkeypatch.setattr(alertsynth.ingest, "parse_address", spy)
         monkeypatch.setattr(ipaddress, "ip_address", spy)
         for alert in open_source(config.source, None, engine.stats):
             engine.process(alert)
