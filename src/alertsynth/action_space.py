@@ -184,13 +184,14 @@ def load_mappings(ais_map_file: str, port_table_file: str, homenet_file: str,
     intent-category names, and port-table labels that repeat a fallback
     service name are all fatal config errors.
     """
-    categories = tuple(ais_categories) if ais_categories else DEFAULT_AIS_CATEGORIES
+    categories = (DEFAULT_AIS_CATEGORIES if ais_categories is None
+                  else tuple(ais_categories))
     if len(set(categories)) != len(categories):
         raise ConfigError("duplicate intent category in configured list")
 
     ais_by_id: Dict[int, str] = {}
     keyword_rules: List[Tuple[str, str]] = []
-    for line in _data_lines(ais_map_file):
+    for _, line in data_lines(ais_map_file, "intent map"):
         parts = [p.strip() for p in line.rsplit(",", 1)]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ConfigError(f"bad intent-map row {line!r}")
@@ -207,7 +208,7 @@ def load_mappings(ais_map_file: str, port_table_file: str, homenet_file: str,
         ais_by_id[sig_id] = ais
 
     port_labels: Dict[Tuple[int, str], str] = {}
-    for line in _data_lines(port_table_file):
+    for _, line in data_lines(port_table_file, "port table"):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise ConfigError(f"bad port-table row {line!r}")
@@ -227,7 +228,7 @@ def load_mappings(ais_map_file: str, port_table_file: str, homenet_file: str,
             port_labels[(port, p)] = label
 
     networks = []
-    for line in _data_lines(homenet_file):
+    for _, line in data_lines(homenet_file, "homenet file"):
         try:
             networks.append(ipaddress.ip_network(line, strict=False))
         except ValueError as exc:
@@ -238,18 +239,17 @@ def load_mappings(ais_map_file: str, port_table_file: str, homenet_file: str,
     return tables
 
 
-def _data_lines(path: str) -> List[str]:
+def data_lines(path: str, what: str) -> List[Tuple[int, str]]:
+    """(line number, stripped text) of each line of a UTF-8 startup file
+    that is neither blank nor a # comment.  A file that cannot be opened,
+    read or decoded is a ConfigError naming what it is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read mapping file {path}: {exc}")
-    out = []
-    for line in raw:
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+            return [(lineno, line)
+                    for lineno, line in enumerate(map(str.strip, fh), 1)
+                    if line and not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
 def map_ais(alert, tables: MappingTables) -> str:

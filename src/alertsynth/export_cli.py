@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .action_space import (COMPONENTS, Action, ConfigError, MappingTables,
-                           WeightConfig, bin_elapsed_index, load_mappings,
-                           map_ais_index, map_service_index, maneuver_index)
+                           WeightConfig, bin_elapsed_index, data_lines,
+                           load_mappings, map_ais_index, map_service_index,
+                           maneuver_index)
 from .aggregation import (FAR_US, SEGMENTERS, Aggregate, build_aggregate,
                           within_us)
 from .ingest import Alert, IngestStats, SourceError, SourceSpec, open_source
@@ -189,15 +190,7 @@ def parse_source(text: str) -> SourceSpec:
 def parse_config_file(path: str) -> Dict[str, str]:
     """Flat key=value file, each key once; blank lines and # comments ignored."""
     out: Dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(path, "config"):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = (part.strip() for part in line.partition("="))
@@ -533,12 +526,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # every flag's dest is its config key
         entries.update({k: v for k, v in vars(args).items()
                         if k != "config" and v is not None})
-        config = build_config(entries)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        return run(build_config(entries))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

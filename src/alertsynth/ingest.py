@@ -227,7 +227,7 @@ def _tcp_lines(target: str) -> Iterator[str]:
     host, _, port_s = target.rpartition(":")
     try:
         server = socket.create_server((host or "127.0.0.1", int(port_s)))
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         raise SourceError(f"cannot listen on {target}: {exc}")
     with server:
         conn, _ = server.accept()

@@ -9,7 +9,6 @@ score_recovery joins against the pipeline's assignment log.
 """
 
 import argparse
-import calendar
 import math
 import os
 import sys
@@ -27,8 +26,8 @@ class ScoringError(Exception):
     """Truth and assignment logs do not line up."""
 
 
-# 2025-03-02T00:00:00Z; an arbitrary fixed scenario epoch.
-DEFAULT_T0_US = calendar.timegm((2025, 3, 2, 0, 0, 0)) * 1_000_000
+# An arbitrary fixed scenario epoch.
+DEFAULT_T0_US = parse_timestamp("2025-03-02T00:00:00Z")
 
 EPHEMERAL = (49152, 65536)
 

@@ -9,10 +9,13 @@ Jensen-Shannon divergence; starved models are retired.
 
 Distances are defined on per-component marginal pmfs and combined as a
 weighted sum, so every divergence here reduces to its single-component
-textbook form when one weight is 1.  Those forms take raw pmfs; the weighted
-distances of ModelSet, jsd and model_distance share one row kernel, and
-every smoothed pmf, from a single count vector to a model set's whole
-counts matrix, comes from one smoothing kernel, smooth_rows.
+textbook form when one weight is 1.  Those forms (cross_entropy,
+kl_divergence, binary_entropy, jsd_component) take raw pmfs and run on the
+cross-entropy row kernel that scores aggregates, neg_cross_entropy_rows,
+with weight 1 over the cells where p > 0.  The weighted JSD of ModelSet and
+jsd has its own row kernel, jsd_rows, and every smoothed pmf, from a single
+count vector to a model set's whole counts matrix, comes from one smoothing
+kernel, smooth_rows.
 
 A merge scan can be skipped when count supports alone prove that no pair
 is under the merge threshold.  Smoothing leaves under delta = n * eps of a
@@ -108,17 +111,13 @@ def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     assert p.shape == q.shape, "pmf dimension mismatch"
-    mask = p > 0
-    return float(-(p[mask] * np.log(q[mask])).sum())
+    on = p > 0
+    return float(-neg_cross_entropy_rows(np.log(q[on]), 1.0, p[on]))
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats with the 0 ln 0 = 0 convention."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    assert p.shape == q.shape, "pmf dimension mismatch"
-    mask = p > 0
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+    """KL(p || q) = H(p, q) - H(p) in nats with the 0 ln 0 = 0 convention."""
+    return cross_entropy(p, q) - cross_entropy(p, p)
 
 
 def jsd_component(p: np.ndarray, q: np.ndarray) -> float:
@@ -169,7 +168,7 @@ def model_distance(agg: Aggregate, model: AttackModel, weights: WeightConfig,
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x ln x - (1 - x) ln(1 - x) in nats, for x in [0, 1]."""
-    return -sum(p * math.log(p) for p in (x, 1.0 - x) if p > 0)
+    return cross_entropy((x, 1.0 - x), (x, 1.0 - x))
 
 
 def disjoint_jsd_floor(n: int, eps: float) -> float:

@@ -244,6 +244,19 @@ class TestLoadMappings:
         with pytest.raises(ConfigError, match="cannot read"):
             load_mappings("/nonexistent/ais.csv", port_table, homenet)
 
+    @pytest.mark.parametrize("which, what", [(0, "intent map"),
+                                             (1, "port table"),
+                                             (2, "homenet file")])
+    def test_undecodable_file_fatal(self, tmp_path, which, what):
+        paths = list(default_paths())
+        with open(paths[which], "rb") as fh:
+            body = fh.read()
+        bad = tmp_path / "latin1"
+        bad.write_bytes(b"# caf\xe9\n" + body)
+        paths[which] = str(bad)
+        with pytest.raises(ConfigError, match=f"cannot read {what} .*latin1"):
+            load_mappings(*paths)
+
     def test_custom_categories(self, tmp_path):
         ais_map, port_table, homenet = default_paths()
         own = tmp_path / "ais.csv"
@@ -260,6 +273,11 @@ class TestLoadMappings:
         with pytest.raises(ConfigError, match="Discovery"):
             load_mappings(str(own), port_table, homenet,
                           ais_categories=("Strange", "Other"))
+
+    def test_empty_categories_fatal(self):
+        ais_map, port_table, homenet = default_paths()
+        with pytest.raises(ConfigError, match="must include Discovery"):
+            load_mappings(ais_map, port_table, homenet, ais_categories=())
 
     def test_duplicate_categories_fatal(self):
         ais_map, port_table, homenet = default_paths()

@@ -651,6 +651,60 @@ class TestMain:
         assert "duplicate key 'gamma'" in captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_undecodable_config_file_exits_two(self, tmp_path, capsys):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"# Latin-1 comment: caf\xe9\n"
+                         + f"source = file:{alerts}\n".encode("utf-8"))
+        assert main(["--config", str(conf),
+                     "--export-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "config error: cannot read config" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_homenet_file_exits_two(self, tmp_path, capsys):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        homenet = tmp_path / "homenet.txt"
+        homenet.write_bytes(b"# caf\xe9\n10.0.0.0/8\n")
+        assert main(["--source", f"file:{alerts}", "--homenet", str(homenet),
+                     "--export-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "config error: cannot read homenet file" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_ais_categories_exits_two(self, tmp_path, capsys, value):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"source = file:{alerts}\nais_categories = {value}\n"
+                        f"export_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert main(["--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: intent categories must include Discovery" \
+            in captured.err
+        assert captured.out == ""
+
+    def test_unparsable_value_exits_two(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"window_n = x\nexport_dir = {tmp_path / 'out'}\n",
+                        encoding="utf-8")
+        assert main(["--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: bad value for window_n: 'x'" in captured.err
+        assert captured.out == ""
+
+    def test_tcp_port_out_of_range_still_shuts_down(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--source", "tcp:127.0.0.1:70000",
+                     "--export-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "source error: cannot listen on 127.0.0.1:70000" in captured.err
+        assert "alerts_in=0" in captured.out
+        assert latest_export(str(out))["schema"] == "assert-models/1"
+        assert (out / "assignments.csv").exists()
+
     def test_infinite_export_interval_exits_two(self, tmp_path, capsys):
         alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
         assert main(["--source", f"file:{alerts}", "--export-interval", "inf",

@@ -369,3 +369,7 @@ class TestOpenSource:
     def test_tcp_bad_target(self):
         with pytest.raises(SourceError):
             list(open_source(SourceSpec("tcp-listen", "127.0.0.1:notaport")))
+
+    def test_tcp_port_out_of_range(self):
+        with pytest.raises(SourceError, match="cannot listen on 127.0.0.1:70000"):
+            list(open_source(SourceSpec("tcp-listen", "127.0.0.1:70000")))
