@@ -7,8 +7,7 @@ bin (how long since the previous alert on that stream).
 """
 
 from alertsynth import RunConfig, load_mappings, parse_alert_line
-from alertsynth.action_space import (TIME_BIN_LABELS, bin_elapsed_index,
-                                     map_ais, map_service)
+from alertsynth.action_space import bin_elapsed, map_ais, map_service
 from alertsynth.stream_tracker import StreamTracker
 
 LINES = [
@@ -41,8 +40,7 @@ def main():
             map_ais(alert, tables),
             map_service(port, alert.proto, tables),
             f"{direction}/{transition}",
-            TIME_BIN_LABELS[bin_elapsed_index(
-                None if elapsed_us is None else elapsed_us / 1e6)],
+            bin_elapsed(elapsed_us),
         )
         print(f"  {alert.src_ip}:{alert.src_port} -> "
               f"{alert.dst_ip}:{alert.dst_port}  sig {alert.signature_id}")

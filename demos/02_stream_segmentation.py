@@ -9,17 +9,13 @@ gap is a statistical outlier confirmed by a distribution shift.
 
 import numpy as np
 
-from alertsynth import RunConfig, make_segmenter
+from alertsynth import RunConfig
 from alertsynth.action_space import Action
+from alertsynth.aggregation import SEGMENTERS
 
 
 def segmenter(kind, **overrides):
-    c = RunConfig()
-    params = dict(tau=c.tau, bin_width=c.bin_width, sigma_bins=c.sigma_bins,
-                  valley_frac=c.valley_frac, window_n=c.window_n,
-                  ks_alpha=c.ks_alpha, window=c.window)
-    params.update(overrides)
-    return make_segmenter(kind, **params)
+    return SEGMENTERS[kind](RunConfig(**overrides))
 
 
 def actions_at(times_s):

@@ -11,7 +11,7 @@ what only scenario tooling needs.
 
 from .action_space import (Action, ConfigError, MappingTables, WeightConfig,
                            bin_elapsed, load_mappings, map_ais, map_service)
-from .aggregation import Aggregate, build_aggregate, make_segmenter
+from .aggregation import Aggregate, build_aggregate
 from .ingest import (Alert, IngestStats, MissingField, ParseError, SourceError,
                      SourceSpec, open_source, parse_alert_line)
 from .stream_tracker import StreamState, StreamTracker
@@ -29,7 +29,7 @@ __all__ = [
     "SourceSpec", "StreamState", "StreamTracker", "SynthConfig", "WeightConfig",
     "admission_bound", "bin_elapsed", "build_aggregate", "create_model",
     "cross_entropy", "decay", "jsd", "jsd_component",
-    "kl_divergence", "load_mappings", "make_segmenter", "map_ais",
+    "kl_divergence", "load_mappings", "map_ais",
     "map_service", "model_distance", "open_source", "parse_alert_line", "run",
     "smoothed_pmf",
 ]

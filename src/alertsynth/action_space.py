@@ -66,7 +66,9 @@ TIME_BIN_LABELS: Tuple[str, ...] = (
     "1h_to_6h",
     "6h_plus",
 )
-_BIN_EDGES: Tuple[float, ...] = (0.001, 0.1, 1.0, 10.0, 60.0, 600.0, 3600.0, 21600.0)
+_BIN_EDGES_US: Tuple[int, ...] = (1_000, 100_000, 1_000_000, 10_000_000,
+                                  60_000_000, 600_000_000, 3_600_000_000,
+                                  21_600_000_000)
 
 EPHEMERAL_PORT_FLOOR = 49152
 # Service labels of ports with no table row, after the table's own labels.
@@ -285,15 +287,16 @@ def map_service_index(port: Optional[int], proto: str, tables: MappingTables) ->
     return tables._other
 
 
-def bin_elapsed(dt: Optional[float]) -> str:
-    """Time bin label for an elapsed gap in seconds; None marks stream start."""
-    return TIME_BIN_LABELS[bin_elapsed_index(dt)]
+def bin_elapsed(elapsed_us: Optional[int]) -> str:
+    """Time bin label for an elapsed gap in whole microseconds; None marks
+    stream start."""
+    return TIME_BIN_LABELS[bin_elapsed_index(elapsed_us)]
 
 
-def bin_elapsed_index(dt: Optional[float]) -> int:
-    if dt is None:
+def bin_elapsed_index(elapsed_us: Optional[int]) -> int:
+    if elapsed_us is None:
         return 0
-    return 1 + bisect_right(_BIN_EDGES, dt)  # a negative gap bins as 0.0
+    return 1 + bisect_right(_BIN_EDGES_US, elapsed_us)  # a negative gap bins as 0
 
 
 def maneuver_index(direction: str, transition: str) -> int:

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .action_space import COMPONENTS, Action, ConfigError
+from .action_space import COMPONENTS, Action
 
 # build_aggregate names the components in this order, spelled out because
 # the generic getattr loop over COMPONENTS costs about twice as much
@@ -327,10 +326,3 @@ SEGMENTERS = {
                                             c.valley_frac, c.window),
     "controlchart": lambda c: ControlChartSegmenter(c.window_n, c.ks_alpha),
 }
-
-
-def make_segmenter(name: str, **settings):
-    """A fresh per-stream segmenter from settings named as config keys."""
-    if name not in SEGMENTERS:
-        raise ConfigError(f"unknown segmenter {name!r}")
-    return SEGMENTERS[name](SimpleNamespace(**settings))

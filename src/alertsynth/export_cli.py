@@ -39,8 +39,7 @@ from .action_space import (COMPONENTS, Action, ConfigError, MappingTables,
                            WeightConfig, bin_elapsed_index, data_lines,
                            load_mappings, map_ais_index, map_service_index,
                            maneuver_index)
-from .aggregation import (FAR_US, SEGMENTERS, Aggregate, build_aggregate,
-                          within_us)
+from .aggregation import FAR_US, SEGMENTERS, build_aggregate, within_us
 from .ingest import Alert, IngestStats, SourceError, SourceSpec, open_source
 from .stream_tracker import StreamTracker
 from .synthesis import ModelSet, SynthConfig
@@ -75,13 +74,12 @@ class RunConfig:
     valley_frac: float = 0.5
     window_n: int = 20
     ks_alpha: float = 0.01
-    gamma: float = 2.0 / 3.0
-    weights: WeightConfig = dc_field(
-        default_factory=lambda: WeightConfig.normalized(0.3, 0.3, 0.3, 0.1))
-    window: float = 21600.0
-    merge_threshold: float = 0.15
-    retire_floor: float = 1.0
-    smoothing_eps: float = 1e-6
+    gamma: float = SynthConfig.gamma
+    weights: WeightConfig = SynthConfig.weights
+    window: float = SynthConfig.ewma_window
+    merge_threshold: float = SynthConfig.merge_threshold
+    retire_floor: float = SynthConfig.retire_floor
+    smoothing_eps: float = SynthConfig.smoothing_eps
     pivot_horizon: float = 3600.0
     idle_timeout: Optional[float] = None      # None = 2x window
     export_interval: float = 600.0
@@ -187,10 +185,11 @@ def parse_source(text: str) -> SourceSpec:
     raise ConfigError(f"bad source {text!r}")
 
 
-def parse_config_file(path: str) -> Dict[str, str]:
-    """Flat key=value file, each key once; blank lines and # comments ignored."""
+def parse_config_file(path: str, what: str = "config") -> Dict[str, str]:
+    """Flat key=value file, each key once; blank lines and # comments
+    ignored.  what names the file in a read error."""
     out: Dict[str, str] = {}
-    for lineno, line in data_lines(path, "config"):
+    for lineno, line in data_lines(path, what):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = (part.strip() for part in line.partition("="))
@@ -311,13 +310,13 @@ def _render(value, newline: str) -> str:
 EVIDENCE_HEADER = "export_ts,model_id,effective_evidence\n"
 
 
-def export_evidence_series(rows: List[Tuple[int, int, float]]) -> str:
-    """One export's evidence.csv rows (export_ts, model_id,
-    effective_evidence), appended below EVIDENCE_HEADER; each distinct
-    stamp is formatted once."""
-    stamps = {ts: iso_ts(ts) for ts in {row[0] for row in rows}}
-    return "".join(f"{stamps[ts]},{model_id},{evidence:.9g}\n"
-                   for ts, model_id, evidence in rows)
+def export_evidence_series(ts: int, rows: List[Tuple[int, float]]) -> str:
+    """The evidence.csv rows (export_ts, model_id, effective_evidence) of
+    one export at ts, from its (model_id, evidence) pairs, appended below
+    EVIDENCE_HEADER."""
+    stamp = iso_ts(ts)
+    return "".join(f"{stamp},{model_id},{evidence:.9g}\n"
+                   for model_id, evidence in rows)
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -349,10 +348,14 @@ class Engine:
         self._next_boundary: Optional[int] = None
         self._next_wall: Optional[float] = None
         self._last_export_ts: Optional[int] = None
-        os.makedirs(config.export_dir, exist_ok=True)
         self._evidence_path = os.path.join(config.export_dir, "evidence.csv")
-        with open(self._evidence_path, "w", encoding="utf-8") as fh:
-            fh.write(EVIDENCE_HEADER)
+        try:
+            os.makedirs(config.export_dir, exist_ok=True)
+            with open(self._evidence_path, "w", encoding="utf-8") as fh:
+                fh.write(EVIDENCE_HEADER)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write export_dir {config.export_dir}: {exc}")
 
     # clock and boundaries
 
@@ -394,23 +397,25 @@ class Engine:
             ais=map_ais_index(alert, self.tables),
             service=map_service_index(port, alert.proto, self.tables),
             maneuver=maneuver_index(direction, transition),
-            timebin=bin_elapsed_index(
-                None if elapsed_us is None else elapsed_us / 1e6),
+            timebin=bin_elapsed_index(elapsed_us),
             ts=alert.ts, stream_id=stream_id, raw_seq=alert.raw_seq)
         self.actions_total += 1
-        for actions in runs + state.handle.feed(action, elapsed_us):
-            self._admit(build_aggregate(actions, self.tables.cardinalities),
-                        self.clock)
+        self._admit(runs + state.handle.feed(action, elapsed_us), self.clock)
 
-    def _admit(self, agg: Aggregate, now: int) -> None:
-        admission = self.model_set.observe(agg, now)
-        self.merge_counts[len(admission.merges)] += 1
-        short = max(agg.raw_seqs) + 1 - len(self.assignments)
-        if short > 0:  # pad to the largest seq
-            self.assignments.extend(array("q", [-1]) * short)
-        for seq in agg.raw_seqs:
-            self.assignments[seq] = admission.model_id
-        self.aggregates_total += 1
+    def _admit(self, runs: List[List[Action]], now: int) -> None:
+        """Build and admit closed runs one at a time in (t_end, stream_id)
+        order, each stamped now."""
+        runs.sort(key=lambda run: (max([a.ts for a in run]), run[0].stream_id))
+        for actions in runs:
+            agg = build_aggregate(actions, self.tables.cardinalities)
+            admission = self.model_set.observe(agg, now)
+            self.merge_counts[len(admission.merges)] += 1
+            short = max(agg.raw_seqs) + 1 - len(self.assignments)
+            if short > 0:  # pad to the largest seq
+                self.assignments.extend(array("q", [-1]) * short)
+            for seq in agg.raw_seqs:
+                self.assignments[seq] = admission.model_id
+            self.aggregates_total += 1
 
     def _boundary(self, ts: int) -> None:
         # quiet segments and idle streams close first so their aggregates
@@ -420,9 +425,8 @@ class Engine:
 
     def _drain(self, states, ts: int) -> None:
         """Flush the given streams that hold a segmenter and release it (the
-        stream's next alert starts a fresh one), build and admit their
-        aggregates one at a time in (t_end, stream_id) order, retire, and
-        export at ts.
+        stream's next alert starts a fresh one), admit their runs, retire,
+        and export at ts.
 
         When ts repeats the last export's stamp and this drain changed the
         model set, the export is stamped 1 us later so that it is written."""
@@ -431,9 +435,7 @@ class Engine:
             if state.handle is not None:
                 runs += state.handle.flush()
                 state.handle = None
-        runs.sort(key=lambda run: (max([a.ts for a in run]), run[0].stream_id))
-        for actions in runs:
-            self._admit(build_aggregate(actions, self.tables.cardinalities), ts)
+        self._admit(runs, ts)
         retired = self.model_set.retire_pass(ts)
         if ts == self._last_export_ts and (runs or retired):
             ts += 1
@@ -452,7 +454,7 @@ class Engine:
             fh.write(render_export(payload))
         with open(self._evidence_path, "a", encoding="utf-8") as fh:
             fh.write(export_evidence_series(
-                [(ts, m.model_id, m.evidence) for m in self.model_set.models]))
+                ts, [(m.model_id, m.evidence) for m in self.model_set.models]))
         self.exports_total += 1
 
     def shutdown(self) -> None:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .action_space import ConfigError
+from .action_space import EPHEMERAL_PORT_FLOOR, ConfigError
 from .export_cli import iso_ts, parse_config_file, parse_duration, parse_ratio
 from .ingest import parse_timestamp
 
@@ -29,7 +29,7 @@ class ScoringError(Exception):
 # An arbitrary fixed scenario epoch.
 DEFAULT_T0_US = parse_timestamp("2025-03-02T00:00:00Z")
 
-EPHEMERAL = (49152, 65536)
+EPHEMERAL = (EPHEMERAL_PORT_FLOOR, 65536)
 
 # Signature text per intent stage, phrased so the packaged keyword rules
 # recover the stage without an exact signature-id entry.
@@ -299,7 +299,7 @@ def load_scenario(path: str):
     settings = {"noise_rate": 0.0, "duration": 3600.0, "seed": 0,
                 "t0": DEFAULT_T0_US}
     fields: Dict[str, Dict[str, object]] = {}
-    for key, value in parse_config_file(path).items():
+    for key, value in parse_config_file(path, "scenario").items():
         target, name, table_key = settings, key, key
         if key.startswith("behavior."):
             parts = key.split(".", 2)

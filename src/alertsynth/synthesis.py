@@ -31,7 +31,7 @@ separated).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,8 +45,7 @@ class SynthConfig:
     """Knobs of the synthesis stage; all finite and positive, gamma in (0, 1]."""
 
     gamma: float = 2.0 / 3.0
-    weights: WeightConfig = field(
-        default_factory=lambda: WeightConfig.normalized(0.3, 0.3, 0.3, 0.1))
+    weights: WeightConfig = WeightConfig.normalized(0.3, 0.3, 0.3, 0.1)
     ewma_window: float = 21600.0      # seconds
     merge_threshold: float = 0.15     # nats
     retire_floor: float = 1.0         # evidence units
@@ -470,14 +469,11 @@ class ModelSet:
             return {}
         score = self.pmf_rows() if pmf_rows is None else pmf_rows
         if len(self.models) > 1:
-            # each row's max over the other rows, from running maxima
-            # down to the row above and up to the row below it
+            # each row's max over the other rows: the column's maximum, or
+            # its runner-up where the row holds the maximum
             rows = self._smoothed
-            above = np.maximum.accumulate(rows, axis=0)
-            below = np.maximum.accumulate(rows[::-1], axis=0)[::-1]
-            others = np.empty_like(rows)
-            others[0], others[-1] = below[1], above[-2]
-            np.maximum(above[:-2], below[2:], out=others[1:-1])
+            second, first = np.sort(rows, axis=0)[-2:]
+            others = np.where(rows == first, second, first)
             score = score * -np.log(others)
         feats: List[Dict[str, str]] = [{} for _ in self.models]
         for name, (a, b), rank, vocab in zip(COMPONENTS, self._spans,

@@ -124,6 +124,121 @@ def admission_bound_ref(weights: Sequence[float], cards: Sequence[int],
     return sum(w * math.log(c) for w, c in zip(weights, cards)) - math.log(gamma)
 
 
+class ModelRef:
+    """One model of ModelSetRef: per-component count lists and its stamps."""
+
+    def __init__(self, model_id: int, counts: List[List[float]],
+                 evidence: float, now: int) -> None:
+        self.model_id = model_id
+        self.counts = counts
+        self.evidence = evidence
+        self.created_at = now
+        self.last_update_ts = now
+
+
+class ModelSetRef:
+    """The evolving model set written from its definitions: at each call
+    every model decays from the last call's stamp (decay_ref), an aggregate
+    joins the nearest model (model_distance_ref, first model on a tie) when
+    that distance is under admission_bound_ref and otherwise founds a
+    model, and then the closest pair of all pairs (model_jsd_ref, first
+    pair on a tie) merges into the one with more evidence (the first on a
+    tie) until no pair is under the merge threshold.  retire_pass drops
+    models under the evidence floor that have had no update for over a
+    window.  Stamps are microseconds, window seconds.
+
+    margins holds the smallest |h_star - bound| and |JSD - threshold| met,
+    so that a near tie shows before it flips a decision."""
+
+    def __init__(self, weights: Sequence[float], cards: Sequence[int],
+                 gamma: float, window: float, merge_threshold: float,
+                 retire_floor: float, eps: float) -> None:
+        self.weights = list(weights)
+        self.window = window
+        self.merge_threshold = merge_threshold
+        self.retire_floor = retire_floor
+        self.eps = eps
+        self.bound = admission_bound_ref(weights, cards, gamma)
+        self.models: List[ModelRef] = []
+        self.created = 0
+        self.clock: Optional[int] = None
+        self.margins = {"h_star": math.inf, "jsd": math.inf}
+
+    def decay_to(self, now: int) -> None:
+        if self.clock is not None:
+            assert now >= self.clock, "clock moved backwards"
+            dt = (now - self.clock) / 1e6
+            for m in self.models:
+                m.counts = [[decay_ref(c, dt, self.window) for c in comp]
+                            for comp in m.counts]
+                m.evidence = decay_ref(m.evidence, dt, self.window)
+        self.clock = now
+
+    def observe(self, pmfs: Sequence[Sequence[float]], n: int, now: int
+                ) -> Tuple[int, str, Optional[float], List[Tuple[int, int]]]:
+        """(model id, associate or create, h_star, merges) of one aggregate
+        given by its component pmfs and size."""
+        self.decay_to(now)
+        nearest, h_star = None, None
+        for m in self.models:
+            d = model_distance_ref(pmfs, m.counts, self.weights, self.eps)
+            if h_star is None or d < h_star:
+                nearest, h_star = m, d
+        if h_star is not None:
+            self.margins["h_star"] = min(self.margins["h_star"],
+                                         abs(h_star - self.bound))
+        if h_star is not None and h_star < self.bound:
+            model, action = nearest, "associate"
+            model.counts = [[c + n * p for c, p in zip(comp, pmf)]
+                            for comp, pmf in zip(model.counts, pmfs)]
+            model.evidence += n
+            model.last_update_ts = now
+        else:
+            model, action = ModelRef(self.created,
+                                     [[n * p for p in pmf] for pmf in pmfs],
+                                     float(n), now), "create"
+            self.created += 1
+            self.models.append(model)
+        return model.model_id, action, h_star, self.merge_scan()
+
+    def merge_scan(self) -> List[Tuple[int, int]]:
+        """(absorbed id, surviving id) of each merge, in order."""
+        merges = []
+        while len(self.models) >= 2:
+            best = None
+            for i, a in enumerate(self.models):
+                for j in range(i + 1, len(self.models)):
+                    d = model_jsd_ref(a.counts, self.models[j].counts,
+                                      self.weights, self.eps)
+                    self.margins["jsd"] = min(self.margins["jsd"],
+                                              abs(d - self.merge_threshold))
+                    if best is None or d < best[0]:
+                        best = (d, i, j)
+            d, i, j = best
+            if d >= self.merge_threshold:
+                break
+            keeper, loser = self.models[i], self.models[j]
+            if loser.evidence > keeper.evidence:
+                keeper, loser = loser, keeper
+            keeper.counts = [[x + y for x, y in zip(a, b)]
+                             for a, b in zip(keeper.counts, loser.counts)]
+            keeper.evidence += loser.evidence
+            keeper.created_at = min(keeper.created_at, loser.created_at)
+            keeper.last_update_ts = max(keeper.last_update_ts,
+                                        loser.last_update_ts)
+            self.models.remove(loser)
+            merges.append((loser.model_id, keeper.model_id))
+        return merges
+
+    def retire_pass(self, now: int) -> List[int]:
+        """Ids of the models retired at now."""
+        self.decay_to(now)
+        retired = [m for m in self.models if m.evidence < self.retire_floor
+                   and (now - m.last_update_ts) / 1e6 > self.window]
+        self.models = [m for m in self.models if m not in retired]
+        return [m.model_id for m in retired]
+
+
 def gaussian_smooth_ref(counts: Sequence[float], sigma_bins: float) -> np.ndarray:
     """Gaussian smoothing with zero padding and a +/-4 sigma kernel."""
     return ndimage.gaussian_filter1d(

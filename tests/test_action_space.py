@@ -145,28 +145,41 @@ class TestIndexEncodersAgainstOracles:
 
 
 class TestTimeBins:
-    @pytest.mark.parametrize("dt,label", [
+    @pytest.mark.parametrize("elapsed_us,label", [
         (None, "stream_start"),
-        (0.0, "0s_to_1ms"),
-        (0.0005, "0s_to_1ms"),
-        (0.001, "1ms_to_100ms"),      # edges are closed on the left
-        (0.1, "100ms_to_1s"),
-        (1.0, "1s_to_10s"),
-        (10.0, "10s_to_60s"),
-        (60.0, "60s_to_600s"),
-        (600.0, "600s_to_1h"),
-        (3600.0, "1h_to_6h"),
-        (21599.999, "1h_to_6h"),
-        (21600.0, "6h_plus"),
-        (1e9, "6h_plus"),
-        (-5.0, "0s_to_1ms"),          # negative gaps clamp to zero
+        (0, "0s_to_1ms"),
+        (500, "0s_to_1ms"),
+        (999, "0s_to_1ms"),
+        (1_000, "1ms_to_100ms"),      # edges are closed on the left
+        (100_000, "100ms_to_1s"),
+        (1_000_000, "1s_to_10s"),
+        (10_000_000, "10s_to_60s"),
+        (60_000_000, "60s_to_600s"),
+        (600_000_000, "600s_to_1h"),
+        (3_600_000_000, "1h_to_6h"),
+        (21_599_999_999, "1h_to_6h"),
+        (21_600_000_000, "6h_plus"),
+        (10**15, "6h_plus"),
+        (-5_000_000, "0s_to_1ms"),    # negative gaps clamp to zero
     ])
-    def test_examples(self, dt, label):
-        assert bin_elapsed(dt) == label
+    def test_examples(self, elapsed_us, label):
+        assert bin_elapsed(elapsed_us) == label
 
     def test_index_matches_label(self):
-        for dt in (None, 0.0, 0.5, 5.0, 50.0, 500.0, 5000.0, 50000.0):
-            assert TIME_BIN_LABELS[bin_elapsed_index(dt)] == bin_elapsed(dt)
+        for elapsed_us in (None, 0, 500_000, 5 * 10**6, 5 * 10**7, 5 * 10**8,
+                           5 * 10**9, 5 * 10**10):
+            assert (TIME_BIN_LABELS[bin_elapsed_index(elapsed_us)]
+                    == bin_elapsed(elapsed_us))
+
+    def test_whole_us_edges_match_the_seconds_edges(self):
+        """Each bin edge in whole us splits gaps where its value in seconds
+        does, compared as elapsed_us / 1e6 against seconds."""
+        seconds = (0.001, 0.1, 1.0, 10.0, 60.0, 600.0, 3600.0, 21600.0)
+        for edge in seconds:
+            centre = round(edge * 1e6)
+            for elapsed_us in range(centre - 2_000, centre + 2_000):
+                assert bin_elapsed_index(elapsed_us) == 1 + sum(
+                    elapsed_us / 1e6 >= e for e in seconds), elapsed_us
 
 
 class TestWeightConfig:

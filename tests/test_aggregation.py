@@ -6,13 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from alertsynth import aggregation
+from alertsynth import RunConfig, aggregation
 from alertsynth.action_space import Action, ConfigError
-from alertsynth.aggregation import (FAR_US, ControlChartSegmenter,
+from alertsynth.aggregation import (FAR_US, SEGMENTERS, ControlChartSegmenter,
                                     GaussianSegmenter, ThresholdSegmenter,
                                     build_aggregate, gaussian_smooth,
                                     ks_critical, ks_statistic,
-                                    longest_quiet_us, make_segmenter)
+                                    longest_quiet_us)
 from alertsynth.synthesis import support_bits
 from oracles import (controlchart_boundaries_ref, gaussian_smooth_ref,
                      ks_critical_ref, ks_stat_ref, pmf_by_counting)
@@ -446,18 +446,13 @@ class TestHorizons:
 
 
 class TestMakeSegmenter:
-    def kwargs(self):
-        return dict(tau=600.0, bin_width=60.0, sigma_bins=3.0, valley_frac=0.5,
-                    window_n=20, ks_alpha=0.01, window=21600.0)
-
     def test_kinds(self):
-        assert isinstance(make_segmenter("threshold", **self.kwargs()),
-                          ThresholdSegmenter)
-        assert isinstance(make_segmenter("gaussian", **self.kwargs()),
-                          GaussianSegmenter)
-        assert isinstance(make_segmenter("controlchart", **self.kwargs()),
+        config = RunConfig()
+        assert isinstance(SEGMENTERS["threshold"](config), ThresholdSegmenter)
+        assert isinstance(SEGMENTERS["gaussian"](config), GaussianSegmenter)
+        assert isinstance(SEGMENTERS["controlchart"](config),
                           ControlChartSegmenter)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            make_segmenter("fourier", **self.kwargs())
+            RunConfig(segmenter="fourier")

@@ -312,17 +312,15 @@ class TestRenderExport:
 
 class TestEvidenceSeries:
     def test_format(self):
-        text = export_evidence_series([(T0_US, 0, 1.5), (T0_US, 1, 2.0),
-                                       (T0_US + 1_234_567, 2, 0.5),
-                                       (T0_US, 4, 1 / 3)])
-        assert text.splitlines() == ["2025-03-02T00:00:00.000000Z,0,1.5",
-                                     "2025-03-02T00:00:00.000000Z,1,2",
-                                     "2025-03-02T00:00:01.234567Z,2,0.5",
-                                     "2025-03-02T00:00:00.000000Z,4,0.333333333"]
+        text = export_evidence_series(T0_US + 1_234_567,
+                                      [(0, 1.5), (1, 2.0), (4, 1 / 3)])
+        assert text.splitlines() == ["2025-03-02T00:00:01.234567Z,0,1.5",
+                                     "2025-03-02T00:00:01.234567Z,1,2",
+                                     "2025-03-02T00:00:01.234567Z,4,0.333333333"]
         assert text.endswith("\n")
 
     def test_empty(self):
-        assert export_evidence_series([]) == ""
+        assert export_evidence_series(T0_US, []) == ""
 
 
 class TestEngine:
@@ -662,6 +660,22 @@ class TestMain:
         assert "config error: cannot read config" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_unusable_export_dir_exits_two(self, tmp_path, capsys, below):
+        """An export_dir that names a regular file, or lies below one, is a
+        config error before any output."""
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory\n")
+        export_dir = blocker.joinpath(*below)
+        assert main(["--source", f"file:{alerts}",
+                     "--export-dir", str(export_dir)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: cannot write export_dir {export_dir}" \
+            in captured.err
+        assert captured.out == ""
+        assert blocker.read_text() == "not a directory\n"
 
     def test_undecodable_homenet_file_exits_two(self, tmp_path, capsys):
         alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])

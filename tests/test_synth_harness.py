@@ -319,6 +319,14 @@ class TestHarnessMain:
         assert "scenario error" in captured.err
         assert captured.out == ""
 
+    def test_undecodable_spec_names_the_scenario(self, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"# caf\xe9\nseed = 1\n")
+        assert harness_main(["--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"scenario error: cannot read scenario {path}:" in captured.err
+        assert captured.out == ""
+
     def test_missing_behavior_field_exits_two(self, tmp_path, capsys):
         path = tmp_path / "s.conf"
         path.write_text("behavior.kerb.targets = 10.0.2.9\n", encoding="utf-8")

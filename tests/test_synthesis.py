@@ -929,8 +929,9 @@ class TestCharacteristics:
         st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=3,
                  max_size=3).filter(any), min_size=1, max_size=6))
     def test_matches_a_scan_of_the_other_rows(self, services):
-        """The running maxima pick what deleting each model's own row and
-        taking the column maxima of the rest picks, ties included."""
+        """The column maxima and their runners-up pick what deleting each
+        model's own row and taking the column maxima of the rest picks, ties
+        included."""
         ms = self.small_set(services)
         expected = {}
         for k, m in enumerate(ms.models):
