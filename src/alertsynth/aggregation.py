@@ -138,7 +138,7 @@ class GaussianSegmenter:
 
     def __init__(self, bin_width: float, sigma_bins: float, valley_frac: float,
                  window: float) -> None:
-        self.bin_width = bin_width
+        self.bin_us = within_us(bin_width)
         self.sigma_bins = sigma_bins
         self.valley_frac = valley_frac
         self.window_us = within_us(window)
@@ -173,7 +173,7 @@ class GaussianSegmenter:
 
     def _extract(self, actions: List[Action]) -> List[List[Action]]:
         ts = np.array([a.ts for a in actions], dtype=np.int64)
-        bins = ((ts - ts.min()) / 1e6 // self.bin_width).astype(int)
+        bins = (ts - ts.min()) // self.bin_us
         # empty bins out of the kernel's reach of any action smooth to 0,
         # and one such bin cuts where a longer run of them does: shorten
         # every longer run to one, so that the bins grow with the actions

@@ -6,8 +6,8 @@ set, in queue order.  Every export interval the live models are written to
 models-<ts>.json and one evidence row per model is appended to
 evidence.csv.
 
-The event-time clock (default) is the largest alert timestamp seen, and it
-drives decay, deadlines and export boundaries, which makes replays
+The clock is the largest alert timestamp seen (event time), and it drives
+decay, deadlines and export boundaries, which makes replays
 byte-identical.  At each boundary the stream tracker's pass over its due
 streams yields those whose open segment has passed its horizon and those
 idle past idle_timeout; their runs are admitted in (t_end,
@@ -16,8 +16,8 @@ export.  An episode thus reaches the model set within its segmenter's
 horizon plus one export interval of its last alert (tau + interval for the
 threshold segmenter), not at shutdown.  Once a boundary leaves no live
 model and no open stream, the clock skips the empty intervals up to the
-next alert.  Wall-time mode schedules exports from the wall clock instead
-and exists for live feeds.
+next alert.  A boundary is stamped below the alert that passes it and the
+shutdown export at the clock, so export stamps strictly increase.
 """
 
 import argparse
@@ -25,11 +25,11 @@ import json
 import math
 import os
 import sys
-import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
+from fnmatch import fnmatch
 from importlib.resources import files as pkg_files
 from typing import Dict, List, Optional, Tuple
 
@@ -84,7 +84,6 @@ class RunConfig:
     idle_timeout: Optional[float] = None      # None = 2x window
     export_interval: float = 600.0
     export_dir: str = "out"
-    clock_mode: str = "event-time"
 
     def __post_init__(self) -> None:
         if not self.ais_map:
@@ -103,8 +102,6 @@ class RunConfig:
             (0 < self.valley_frac <= 1, "valley_frac must be in (0, 1]"),
             (self.window_n >= 2, "window_n must be at least 2"),
             (0 < self.ks_alpha < 1, "ks_alpha must be in (0, 1)"),
-            (self.clock_mode in ("event-time", "wall-time"),
-             f"unknown clock_mode {self.clock_mode!r}"),
             (self.segmenter in SEGMENTERS,
              f"unknown segmenter {self.segmenter!r}"),
             (self.source.kind in ("file-replay", "stdin", "tcp-listen"),
@@ -206,7 +203,7 @@ _PARSERS = {
     "window_n": int,
     "ais_categories": lambda v: tuple(c.strip() for c in v.split(",") if c.strip()),
     **dict.fromkeys(("ais_map", "port_table", "homenet", "segmenter",
-                     "export_dir", "clock_mode"), str),
+                     "export_dir"), str),
     **dict.fromkeys(_DURATION_KEYS, parse_duration),
     **dict.fromkeys(("sigma_bins", "valley_frac", "ks_alpha", "gamma",
                      "merge_threshold", "retire_floor", "smoothing_eps"),
@@ -346,11 +343,14 @@ class Engine:
         self.assignments = array("q")
         self._interval_us = within_us(config.export_interval)
         self._next_boundary: Optional[int] = None
-        self._next_wall: Optional[float] = None
-        self._last_export_ts: Optional[int] = None
         self._evidence_path = os.path.join(config.export_dir, "evidence.csv")
         try:
             os.makedirs(config.export_dir, exist_ok=True)
+            for name in sorted(os.listdir(config.export_dir)):
+                if name in ("evidence.csv", "assignments.csv") or fnmatch(
+                        name, "models-*.json"):
+                    raise ConfigError(f"export_dir {config.export_dir} holds "
+                                      f"{name} from an earlier run")
             with open(self._evidence_path, "w", encoding="utf-8") as fh:
                 fh.write(EVIDENCE_HEADER)
         except OSError as exc:
@@ -363,20 +363,15 @@ class Engine:
         if self.clock is None:
             self.clock = alert.ts
             self._next_boundary = (alert.ts // self._interval_us + 1) * self._interval_us
-            self._next_wall = time.monotonic() + self.config.export_interval
-        if self.config.clock_mode == "event-time":
-            while self._next_boundary < alert.ts:
-                self._boundary(self._next_boundary)
-                self._next_boundary += self._interval_us
-                if not self.model_set.models and not self.tracker.states:
-                    # nothing left that a later export could show changing:
-                    # go on from the last boundary before this alert
-                    self._next_boundary = max(
-                        self._next_boundary,
-                        (alert.ts - 1) // self._interval_us * self._interval_us)
-        elif time.monotonic() >= self._next_wall:
-            self._boundary(max(self.clock, alert.ts))
-            self._next_wall = time.monotonic() + self.config.export_interval
+        while self._next_boundary < alert.ts:
+            self._boundary(self._next_boundary)
+            self._next_boundary += self._interval_us
+            if not self.model_set.models and not self.tracker.states:
+                # nothing left that a later export could show changing:
+                # go on from the last boundary before this alert
+                self._next_boundary = max(
+                    self._next_boundary,
+                    (alert.ts - 1) // self._interval_us * self._interval_us)
         late = alert.ts < self.clock
         self.clock = max(self.clock, alert.ts)
 
@@ -426,26 +421,17 @@ class Engine:
     def _drain(self, states, ts: int) -> None:
         """Flush the given streams that hold a segmenter and release it (the
         stream's next alert starts a fresh one), admit their runs, retire,
-        and export at ts.
-
-        When ts repeats the last export's stamp and this drain changed the
-        model set, the export is stamped 1 us later so that it is written."""
+        and export at ts."""
         runs = []
         for state in states:
             if state.handle is not None:
                 runs += state.handle.flush()
                 state.handle = None
         self._admit(runs, ts)
-        retired = self.model_set.retire_pass(ts)
-        if ts == self._last_export_ts and (runs or retired):
-            ts += 1
-            self.clock = max(self.clock, ts)
+        self.model_set.retire_pass(ts)
         self._export(ts)
 
     def _export(self, ts: int) -> None:
-        if ts == self._last_export_ts:
-            return
-        self._last_export_ts = ts
         self.model_set.decay_all(ts)
         payload = export_payload(self.model_set, ts)
         name = f"models-{compact_ts(ts)}.json"

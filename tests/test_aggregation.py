@@ -203,6 +203,19 @@ class TestGaussianSegmenter:
             closed = seg.feed(at_us(second, 1), max(second - first, 0))
             assert closed == ([[at_us(first)]] if over else [])
 
+    @pytest.mark.parametrize("bin_width,unit_us", [(1.0, 1_000_000),
+                                                   (0.1, 100_000)])
+    def test_bins_are_whole_microseconds(self, bin_width, unit_us):
+        """A feed scaled with its bin width splits the same: 0.1 s bins are
+        100,000 us, so the actions at 0.3, 0.6 and 0.7 s fall in bins 3, 6
+        and 7 (0.3 // 0.1 is 2.0 in floats)."""
+        seg = GaussianSegmenter(bin_width=bin_width, sigma_bins=0.5,
+                                valley_frac=1.0, window=3600.0)
+        for k, units in enumerate([4, 7, 16, 24, 28, 30, 31, 36]):
+            seg.feed(at_us(units * unit_us, k), None if k == 0 else unit_us)
+        assert [[a.raw_seq for a in e] for e in seg.flush()] == [
+            [0], [1], [2], [3], [4], [5, 6], [7]]
+
     def test_single_action(self):
         seg = GaussianSegmenter(**self.kwargs())
         seg.feed(mk(0.0), None)
@@ -232,7 +245,7 @@ class TestGaussianSegmenter:
         emitted.extend(seg.flush())
         assert [[a.raw_seq for a in e] for e in emitted] == [
             [0, 1, 2], [3], [4, 5], [6], [7, 8], [9], [10, 11]]
-        assert binned and max(binned) <= seg.window_us / 1e6 / seg.bin_width + 1
+        assert binned and max(binned) <= seg.window_us // seg.bin_us + 1
 
     @pytest.mark.parametrize("sigma_bins", [0.5, 3.0, 12.0])
     def test_long_silences_cut_as_when_binned_in_full(self, sigma_bins):
@@ -243,7 +256,7 @@ class TestGaussianSegmenter:
 
         def full_span_episodes(actions):
             ts = np.array([a.ts for a in actions], dtype=np.int64)
-            bins = ((ts - ts.min()) / 1e6 // seg.bin_width).astype(int)
+            bins = (ts - ts.min()) // seg.bin_us
             cuts = seg._valleys(gaussian_smooth(np.bincount(bins), sigma_bins))
             episodes = [[] for _ in range(len(cuts) + 1)]
             for action, ep in zip(actions, np.searchsorted(cuts, bins)):

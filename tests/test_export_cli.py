@@ -149,9 +149,10 @@ class TestBuildConfig:
         assert cfg.segmenter == "gaussian"
         assert cfg.source.kind == "file-replay"
 
-    def test_unknown_key_is_fatal(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            build_config({"taau": "300"})
+    @pytest.mark.parametrize("key", ["taau", "clock_mode"])
+    def test_unknown_key_is_fatal(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_config({key: "event-time"})
 
     def test_alias_keys(self):
         cfg = build_config({"alias_timestamp": "@timestamp",
@@ -190,7 +191,7 @@ class TestBuildConfig:
 class TestRunConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 0.0}, {"gamma": 1.5}, {"export_interval": 0.0},
-        {"segmenter": "fourier"}, {"clock_mode": "lamport"},
+        {"segmenter": "fourier"},
         {"window_n": 1}, {"tau": -1.0}, {"ks_alpha": 1.0},
         {"source": SourceSpec(kind="carrier-pigeon")},
         {"sigma_bins": math.inf}, {"smoothing_eps": math.inf},
@@ -382,12 +383,29 @@ class TestEngine:
         assert len(expected) > 5
         assert stamps == [f"models-{compact_ts(us)}.json" for us in expected]
 
-    def test_duplicate_export_ts_skipped(self, tmp_path):
-        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+    def test_last_alert_on_a_boundary_exports_each_stamp_once(self, tmp_path):
+        """Each boundary is stamped below the alert that passes it, and
+        shutdown at the clock: with the last alert on the 30-minute
+        boundary, the stamps still strictly increase, no (export_ts,
+        model_id) row repeats, and the last file lists every live model."""
+        lines = [eve_line(i * 1.0) for i in range(3)]
+        lines += [eve_line(700 + i * 1.0) for i in range(3)]
+        lines += [eve_line(s, src="198.51.100.77") for s in (1500.0, 1800.0)]
+        alerts = write_alerts(tmp_path / "a.json", lines)
         engine = run_engine(self.config(tmp_path, alerts))
-        n = engine.exports_total
-        engine._export(engine.clock)
-        assert engine.exports_total == n
+        out = tmp_path / "out"
+        stamps = [T0_US + m * 60_000_000 for m in (10, 20, 30)]
+        assert [os.path.basename(p) for p in export_files(str(out))] == [
+            f"models-{compact_ts(us)}.json" for us in stamps]
+        assert engine.exports_total == 3 and engine.clock == stamps[-1]
+        live = [m.model_id for m in engine.model_set.models]
+        assert [m["model_id"] for m in latest_export(str(out))["models"]] == live
+        assert min(engine.assignments) >= 0
+        rows = (out / "evidence.csv").read_text(encoding="utf-8").splitlines()
+        keys = [tuple(row.split(",")[:2]) for row in rows[1:]]
+        assert len(set(keys)) == len(keys)
+        assert keys[-len(live):] == [(iso_ts(stamps[-1]), str(model_id))
+                                     for model_id in live]
 
     def test_evidence_csv_appends_each_export(self, tmp_path):
         # the gap over tau admits the first burst before the 20-minute
@@ -473,7 +491,7 @@ class TestEngine:
         alerts = write_alerts(tmp_path / "a.json", lines)
         assert run(self.config(tmp_path, alerts)) == 0
         assert "rejected=1" in capsys.readouterr().out
-        engine = run_engine(self.config(tmp_path, alerts))
+        engine = run_engine(self.config(tmp_path / "again", alerts))
         assert engine.stats.rejected == 1
         assert set(engine.tracker.states) == {"198.51.100.9", "2001:db8::1"}
 
@@ -494,47 +512,6 @@ class TestEngine:
         assert "rejected=1" in capsys.readouterr().out
         rows = (tmp_path / "out" / "assignments.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["raw_seq", "0", "2"]
-
-    def test_wall_time_mode_runs(self, tmp_path):
-        lines = [eve_line(i * 1.0) for i in range(20)]
-        alerts = write_alerts(tmp_path / "a.json", lines)
-        engine = run_engine(self.config(tmp_path, alerts,
-                                        clock_mode="wall-time"))
-        assert engine.exports_total >= 1
-        assert engine.counters()["models_live"] == 1
-
-    def test_wall_time_export_fires_mid_feed(self, tmp_path, monkeypatch):
-        """A wall-clock export is stamped max(clock, alert ts).  A shutdown
-        at the clock of the last export that admits aggregates stamps its
-        export 1 us later: the last file lists every live model and no
-        (export_ts, model_id) row repeats."""
-        wall = [0.0]
-        monkeypatch.setattr(export_cli.time, "monotonic", lambda: wall[0])
-        engine = Engine(self.config(tmp_path, tmp_path / "unused.json",
-                                    clock_mode="wall-time"))
-        # (wall seconds, event seconds); the gap over tau admits model 0
-        feed = [(0, 0), (100, 700), (700, 710), (800, 720), (1400, 715)]
-        for seq, (wall_s, offset) in enumerate(feed):
-            wall[0] = wall_s
-            engine.process(parse_alert_line(eve_line(offset), seq))
-        # stamped by the alert at 710 s, then by the clock at 720 s
-        stamps = [T0_US + s * 1_000_000 for s in (710, 720)]
-        out = tmp_path / "out"
-        names = [os.path.basename(p) for p in export_files(str(out))]
-        assert names == [f"models-{compact_ts(us)}.json" for us in stamps]
-        engine.shutdown()
-        assert engine.exports_total == 3
-        final = stamps[-1] + 1
-        assert [os.path.basename(p) for p in export_files(str(out))] == (
-            names + [f"models-{compact_ts(final)}.json"])
-        live = [str(m.model_id) for m in engine.model_set.models]
-        assert [str(m["model_id"]) for m in latest_export(str(out))["models"]] == live
-        assert min(engine.assignments) >= 0
-        rows = (out / "evidence.csv").read_text(encoding="utf-8").splitlines()
-        keys = [tuple(row.split(",")[:2]) for row in rows[1:]]
-        assert keys == ([(iso_ts(us), "0") for us in stamps]
-                        + [(iso_ts(final), model_id) for model_id in live])
-        assert len(set(keys)) == len(keys)
 
 
 def mostly(common, rare):
@@ -676,6 +653,34 @@ class TestMain:
             in captured.err
         assert captured.out == ""
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("name", ["models-20250302T001000000000Z.json",
+                                      "evidence.csv", "assignments.csv"])
+    def test_reused_export_dir_exits_two(self, tmp_path, capsys, name):
+        """An export_dir holding an earlier run's output is a config error
+        before anything in it is written or truncated."""
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("earlier run\n")
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["--source", f"file:{alerts}",
+                     "--export-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (f"config error: export_dir {out} holds {name} from an "
+                "earlier run") in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(out)) == sorted([name, "notes.txt"])
+        assert (out / name).read_text() == "earlier run\n"
+
+    def test_clock_mode_key_exits_two(self, tmp_path, capsys):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"source = file:{alerts}\nclock_mode = event-time\n"
+                        f"export_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert main(["--config", str(conf)]) == 2
+        assert "unknown config key 'clock_mode'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_homenet_file_exits_two(self, tmp_path, capsys):
         alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
