@@ -93,8 +93,9 @@ class WeightConfig:
         if not all(0 <= w < math.inf for w in raw):
             raise ConfigError(f"negative or non-finite component weight in {raw}")
         total = sum(raw)
-        if total <= 0:
-            raise ConfigError("component weights sum to zero")
+        if not 0 < total < math.inf:
+            raise ConfigError(f"component weights in {raw} sum to {total}, "
+                              "not to a finite positive number")
         return cls(*(w / total for w in raw))
 
     @property

@@ -106,7 +106,6 @@ class RunConfig:
              f"unknown segmenter {self.segmenter!r}"),
             (self.source.kind in ("file-replay", "stdin", "tcp-listen"),
              f"unknown source kind {self.source.kind!r}"),
-            (self.source.speedup >= 0, "speedup must be nonnegative"),
             *((1 <= within_us(getattr(self, key)) < FAR_US,
                f"{key} must be finite and at least 1 microsecond, "
                "and under 2**53 microseconds")
@@ -163,19 +162,13 @@ def parse_weights(text: str) -> WeightConfig:
 
 
 def parse_source(text: str) -> SourceSpec:
-    """'file:PATH[:SPEEDUP]' | 'stdin' | 'tcp:HOST:PORT'."""
+    """'file:PATH' | 'stdin' | 'tcp:HOST:PORT'; PATH is everything after
+    'file:', colons included."""
     text = text.strip()
     if text == "stdin":
         return SourceSpec(kind="stdin")
     kind, _, rest = text.partition(":")
     if kind == "file":
-        path, _, tail = rest.rpartition(":")
-        if path:
-            try:
-                return SourceSpec(kind="file-replay", target=path,
-                                  speedup=float(tail))
-            except ValueError:
-                pass  # the colon belonged to the path
         return SourceSpec(kind="file-replay", target=rest)
     if kind == "tcp":
         return SourceSpec(kind="tcp-listen", target=rest)
@@ -496,7 +489,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="alertsynth",
         description="Synthesize evolving attack models from an IDS alert stream.")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--source", help="file:PATH[:SPEEDUP] | stdin | tcp:HOST:PORT")
+    parser.add_argument("--source", help="file:PATH | stdin | tcp:HOST:PORT")
     parser.add_argument("--gamma", help="admission relaxation in (0,1], e.g. 2/3")
     parser.add_argument("--tau", help="threshold segmenter gap, e.g. 600s")
     parser.add_argument("--segmenter", choices=list(SEGMENTERS))

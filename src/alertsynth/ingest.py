@@ -7,16 +7,17 @@ counted and skipped, never fatal; addresses must be IPv4/IPv6 literals
 given as JSON strings.  Each is parsed here once, by the C socket
 functions, into the canonical text ipaddress would give and its
 (version, int) key; no later stage parses address text.  File, TCP
-and stdin sources decode bytes that are not UTF-8 as U+FFFD, whatever the
-locale; a stand-in for sys.stdin that is not a TextIOWrapper is read as it
-is.
+and stdin sources are read through one line reader, with no pacing: each
+line is parsed as it arrives, and a read error mid-stream is a
+SourceError.  They decode bytes that are not UTF-8 as U+FFFD, whatever
+the locale; a stand-in for sys.stdin that is not a TextIOWrapper is read
+as it is.  A paced replay is a writer that paces its lines into stdin.
 """
 
 import io
 import json
 import socket
 import sys
-import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
@@ -61,7 +62,6 @@ class SourceSpec:
 
     kind: str                    # file-replay | stdin | tcp-listen
     target: str = ""             # path, or host:port for tcp-listen
-    speedup: float = 0.0         # replay rate multiplier; 0 = no sleeping
 
 
 class IngestStats:
@@ -209,17 +209,24 @@ def parse_alert_line(line: str, seq: int,
                  raw_seq=seq)
 
 
+def _lines(fh, where: str) -> Iterator[str]:
+    """The lines of an open text source as they arrive; a read error ends
+    the stream as a SourceError."""
+    try:
+        # not yield from, which would close sys.stdin with the reader
+        for line in fh:
+            yield line
+    except OSError as exc:
+        raise SourceError(f"read failed on {where}: {exc}")
+
+
 def _file_lines(path: str) -> Iterator[str]:
     try:
         fh = open(path, "r", encoding="utf-8", errors="replace")
     except OSError as exc:
         raise SourceError(f"cannot open {path}: {exc}")
     with fh:
-        try:
-            for line in fh:
-                yield line
-        except OSError as exc:
-            raise SourceError(f"read failed on {path}: {exc}")
+        yield from _lines(fh, path)
 
 
 def _tcp_lines(target: str) -> Iterator[str]:
@@ -232,19 +239,13 @@ def _tcp_lines(target: str) -> Iterator[str]:
     with server:
         conn, _ = server.accept()
         with conn, conn.makefile("r", encoding="utf-8", errors="replace") as fh:
-            try:
-                for line in fh:
-                    yield line
-            except OSError as exc:
-                raise SourceError(f"read failed on {target}: {exc}")
+            yield from _lines(fh, target)
 
 
 def open_source(spec: SourceSpec, aliases: Optional[Dict[str, str]] = None,
                 stats: Optional[IngestStats] = None) -> Iterator[Alert]:
-    """Yield Alerts from the configured source in arrival order.
-
-    File replay with speedup s sleeps (gap between records)/s; speedup 0
-    replays as fast as possible.  Out-of-order timestamps pass through but
+    """Yield Alerts from the configured source in arrival order, each as
+    soon as its line is read.  Out-of-order timestamps pass through but
     are counted.
     """
     if stats is None:
@@ -254,13 +255,12 @@ def open_source(spec: SourceSpec, aliases: Optional[Dict[str, str]] = None,
     elif spec.kind == "stdin":
         if isinstance(sys.stdin, io.TextIOWrapper):  # a real stdin, not a stand-in
             sys.stdin.reconfigure(encoding="utf-8", errors="replace")
-        lines = iter(sys.stdin)
+        lines = _lines(sys.stdin, "stdin")
     elif spec.kind == "tcp-listen":
         lines = _tcp_lines(spec.target)
     else:
         raise SourceError(f"unknown source kind {spec.kind!r}")
 
-    sleepy = spec.kind == "file-replay" and spec.speedup > 0
     prev_ts: Optional[int] = None
     seq = 0
     for line in lines:
@@ -277,8 +277,6 @@ def open_source(spec: SourceSpec, aliases: Optional[Dict[str, str]] = None,
             continue
         if prev_ts is not None and alert.ts < prev_ts:
             stats.out_of_order += 1
-        if sleepy and prev_ts is not None and alert.ts > prev_ts:
-            time.sleep((alert.ts - prev_ts) / 1e6 / spec.speedup)
         prev_ts = alert.ts
         stats.parsed += 1
         yield alert

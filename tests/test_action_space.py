@@ -201,6 +201,16 @@ class TestWeightConfig:
         with pytest.raises(ConfigError):
             WeightConfig.normalized(0.0, 0.0, 0.0, 0.0)
 
+    def test_overflowing_sum_rejected(self):
+        # each weight is finite, but their sum is inf: every w / inf is 0.0
+        with pytest.raises(ConfigError, match="finite positive"):
+            WeightConfig.normalized(1e308, 1e308, 1e308, 1e308)
+
+    def test_each_weight_divided_by_the_float_sum(self):
+        raw = (0.3, 0.3, 0.3, 0.1)  # sums to 0.9999999999999999
+        assert WeightConfig.normalized(*raw).vector == tuple(
+            w / sum(raw) for w in raw)
+
 
 class TestLoadMappings:
     def test_duplicate_signature_id_fatal(self, tmp_path):

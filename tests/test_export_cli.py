@@ -78,7 +78,8 @@ class TestParseWeights:
         assert w.vector == pytest.approx((0.3, 0.3, 0.3, 0.1))
 
     @pytest.mark.parametrize("text", ["1,1", "a,b,c,d", "1,2,3,4,5",
-                                      "nan,1,1,1", "1,1,1,inf"])
+                                      "nan,1,1,1", "1,1,1,inf",
+                                      "1e308,1e308,1e308,1e308"])
     def test_bad(self, text):
         with pytest.raises(ConfigError):
             parse_weights(text)
@@ -92,16 +93,15 @@ class TestParseSource:
         spec = parse_source("file:/data/alerts.json")
         assert spec == SourceSpec(kind="file-replay", target="/data/alerts.json")
 
-    def test_file_with_speedup(self):
-        spec = parse_source("file:/data/alerts.json:25")
-        assert spec.kind == "file-replay"
-        assert spec.target == "/data/alerts.json"
-        assert spec.speedup == 25.0
-
     def test_colon_in_path_without_speedup(self):
         spec = parse_source("file:/data/run:a/alerts.json")
         assert spec.target == "/data/run:a/alerts.json"
-        assert spec.speedup == 0.0
+
+    @pytest.mark.parametrize("path", ["/data/alerts.json:25", "a:1:2", ":9",
+                                      "/data/x:", ""])
+    def test_file_takes_the_rest_as_path(self, path):
+        assert parse_source(f"file:{path}") == SourceSpec(kind="file-replay",
+                                                          target=path)
 
     def test_tcp(self):
         spec = parse_source("tcp:127.0.0.1:9999")
@@ -673,6 +673,48 @@ class TestMain:
         assert sorted(os.listdir(out)) == sorted([name, "notes.txt"])
         assert (out / name).read_text() == "earlier run\n"
 
+    def test_path_ending_in_colon_digits_is_a_file(self, tmp_path, capsys):
+        """file: takes everything after it as the path, so a name ending in
+        :60 is read, not taken as a replay speed."""
+        alerts = write_alerts(tmp_path / "alerts.jsonl:60",
+                              [eve_line(i * 2.0) for i in range(3)])
+        out = tmp_path / "out"
+        assert main(["--source", f"file:{alerts}",
+                     "--export-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "alerts_in=3 parsed=3" in captured.out
+
+    def test_stdin_read_error_still_shuts_down(self, tmp_path, capsys,
+                                               monkeypatch):
+        class FailingStdin:
+            def __iter__(self):
+                yield eve_line(0.0) + "\n"
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("sys.stdin", FailingStdin())
+        out = tmp_path / "out"
+        assert main(["--source", "stdin", "--export-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert ("source error: read failed on stdin: [Errno 5] "
+                "Input/output error") in captured.err
+        assert "Traceback" not in captured.err
+        assert "alerts_in=1 parsed=1" in captured.out
+        assert captured.out.count("\n") == 1
+        assert latest_export(str(out))["schema"] == "assert-models/1"
+        assert (out / "assignments.csv").read_text() == "raw_seq,model_id\n0,0\n"
+
+    def test_weights_summing_past_float_range_exit_two(self, tmp_path, capsys):
+        alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
+        assert main(["--source", f"file:{alerts}",
+                     "--weights", "1e308,1e308,1e308,1e308",
+                     "--export-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "config error: component weights" in captured.err
+        assert "not to a finite positive number" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_clock_mode_key_exits_two(self, tmp_path, capsys):
         alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])
         conf = tmp_path / "run.conf"
@@ -746,7 +788,7 @@ class TestMain:
     def test_every_flag_reaches_its_field(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(export_cli, "run", lambda cfg: seen.append(cfg) or 0)
-        argv = ["--source", "file:/data/a.json:4",
+        argv = ["--source", "file:/data/a.json",
                 "--gamma", "1/2",
                 "--tau", "90s",
                 "--segmenter", "gaussian",
@@ -760,7 +802,7 @@ class TestMain:
         assert main(argv) == 0
         cfg, = seen
         assert cfg.source == SourceSpec(kind="file-replay",
-                                        target="/data/a.json", speedup=4.0)
+                                        target="/data/a.json")
         assert cfg.gamma == 0.5
         assert cfg.tau == 90.0
         assert cfg.segmenter == "gaussian"

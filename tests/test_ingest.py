@@ -315,25 +315,6 @@ class TestOpenSource:
         with pytest.raises(SourceError):
             list(open_source(SourceSpec("carrier-pigeon")))
 
-    def test_speedup_sleeps(self, tmp_path, monkeypatch):
-        rec = json.loads(GOOD)
-        later = dict(rec, timestamp="2025-03-02T00:00:11.234567Z")  # +10s
-        path = write_lines(tmp_path / "a.jsonl", [GOOD, json.dumps(later)])
-        naps = []
-        monkeypatch.setattr(time, "sleep", naps.append)
-        list(open_source(SourceSpec("file-replay", path, speedup=5.0)))
-        assert len(naps) == 1
-        assert abs(naps[0] - 2.0) < 1e-9  # 10s gap / speedup 5
-
-    def test_speedup_zero_never_sleeps(self, tmp_path, monkeypatch):
-        rec = json.loads(GOOD)
-        later = dict(rec, timestamp="2025-03-02T00:00:11.234567Z")
-        path = write_lines(tmp_path / "a.jsonl", [GOOD, json.dumps(later)])
-        naps = []
-        monkeypatch.setattr(time, "sleep", naps.append)
-        list(open_source(SourceSpec("file-replay", path, speedup=0.0)))
-        assert naps == []
-
     def test_stdin(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(GOOD + "\n"))
         alerts = list(open_source(SourceSpec("stdin")))
