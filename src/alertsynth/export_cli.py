@@ -53,6 +53,17 @@ _DURATION_KEYS = ("tau", "bin_width", "window", "pivot_horizon", "idle_timeout",
                   "export_interval")
 
 
+def _is_host_port(target: str) -> bool:
+    """Whether target reads HOST:PORT with an integer PORT, split as the TCP
+    source splits it; a port out of range is left to the source to refuse."""
+    _, sep, port = target.rpartition(":")
+    try:
+        int(port)
+    except ValueError:
+        return False
+    return bool(sep)
+
+
 def _default_data(name: str) -> str:
     return str(pkg_files("alertsynth") / "data" / name)
 
@@ -106,6 +117,11 @@ class RunConfig:
              f"unknown segmenter {self.segmenter!r}"),
             (self.source.kind in ("file-replay", "stdin", "tcp-listen"),
              f"unknown source kind {self.source.kind!r}"),
+            (self.source.kind != "file-replay" or self.source.target,
+             "file source needs a path"),
+            (self.source.kind != "tcp-listen"
+             or _is_host_port(self.source.target),
+             f"tcp source needs HOST:PORT, got {self.source.target!r}"),
             *((1 <= within_us(getattr(self, key)) < FAR_US,
                f"{key} must be finite and at least 1 microsecond, "
                "and under 2**53 microseconds")
@@ -425,7 +441,6 @@ class Engine:
         self._export(ts)
 
     def _export(self, ts: int) -> None:
-        self.model_set.decay_all(ts)
         payload = export_payload(self.model_set, ts)
         name = f"models-{compact_ts(ts)}.json"
         with open(os.path.join(self.config.export_dir, name), "w",

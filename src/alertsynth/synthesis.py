@@ -272,11 +272,9 @@ class ModelSet:
     models (create, merge, retire) copies the counts into a fresh matrix,
     re-points the views and smooths every row, and an associate re-smooths
     its own row in one smooth_rows call.  Models that leave the set keep
-    views of the old matrix.  Merging keeps no pairwise matrix: a finished
-    merge pass leaves no pair under the merge threshold, and decay and
-    retirement move no pmf, so after an admission only pairs involving the
-    touched row need checking, and after a merge only pairs involving the
-    keeper's.
+    views of the old matrix.  Merging keeps no pairwise matrix: each merge
+    pass scans one JSD row, from the row an admission touched, then from
+    the keeper's row after each merge (merge_pass says why that suffices).
 
     Before scanning a row, merge_pass tries to prove the scan futile: each
     live row keeps a bitset covering its nonzero count columns (set from
@@ -394,31 +392,25 @@ class ModelSet:
         return Admission(model_id=model.model_id, action=action,
                          h_star=h_star, merges=merges)
 
-    def merge_pass(self, changed: Optional[int] = None) -> List[Tuple[int, int]]:
-        """Repeatedly merge the minimum-JSD pair while it is under the
-        threshold; the smaller-evidence model folds into the larger.
+    def merge_pass(self, changed: int) -> List[Tuple[int, int]]:
+        """Merge row changed with its nearest row while their JSD is under
+        the threshold, then scan from the keeper's row; the smaller-evidence
+        model folds into the larger, and ties go to the lowest other row.
 
-        With changed, a row, given, only pairs involving that row (then the
-        keeper's row after each merge) are scanned, which finds the same
-        pairs as a full scan when no other pair is under the threshold,
-        and the pass ends unscanned when the supports prove that row
-        separated from every other.  Ties go to the lowest (i < j) pair."""
+        A finished pass leaves no pair under the threshold, and decay and
+        retirement move no pmf, so only pairs involving the changed row can
+        merge.  The pass ends unscanned when the supports prove that row
+        separated from every other."""
         merges: List[Tuple[int, int]] = []
-        while len(self.models) >= 2:
-            if changed is not None and separated(self._support,
-                                                 self._separating, changed):
-                break
-            rows = range(len(self.models)) if changed is None else (changed,)
-            best = (np.inf, 0, 0)
-            for k in rows:
-                row = jsd_rows(self._smoothed, self._logq, self._wcol, k)
-                row[k] = np.inf
-                j = int(row.argmin())
-                best = min(best, (float(row[j]), min(j, k), max(j, k)))
-            dist, i, j = best
-            if not dist < self.config.merge_threshold:
+        while len(self.models) >= 2 and not separated(
+                self._support, self._separating, changed):
+            row = jsd_rows(self._smoothed, self._logq, self._wcol, changed)
+            row[changed] = np.inf
+            j = int(row.argmin())
+            if not row[j] < self.config.merge_threshold:
                 break
             # keep the larger-evidence model's row; ties keep the lower id
+            i, j = min(changed, j), max(changed, j)
             keep, lose = ((i, j) if self.models[i].evidence
                           >= self.models[j].evidence else (j, i))
             keeper, loser = self.models[keep], self.models[lose]
@@ -430,8 +422,7 @@ class ModelSet:
             self.models = self.models[:lose] + self.models[lose + 1:]
             self.merged_total += 1
             merges.append((loser.model_id, keeper.model_id))
-            if changed is not None:
-                changed = keep - (lose < keep)    # the keeper's row now
+            changed = keep - (lose < keep)    # the keeper's row now
         return merges
 
     def retire_pass(self, now: int) -> List[AttackModel]:

@@ -473,6 +473,28 @@ class TestEngine:
         assert calls == ["build", "observe"] * 3
         assert engine.aggregates_total == 3
 
+    def test_internal_pivot_end_to_end(self, tmp_path, capsys):
+        """An intrusion that pivots from host to host inside the home network
+        stays on one stream and model; an internal alert with no pivot
+        behind it starts a stream of its own."""
+        ext, a, b, c = "198.51.100.7", "10.0.0.5", "10.0.0.6", "10.0.0.7"
+        alerts = write_alerts(tmp_path / "a.json", [
+            eve_line(0, src=ext, dst=a), eve_line(1, src=a, dst=ext),
+            eve_line(2, src=a, dst=b), eve_line(3, src=b, dst=c),
+            eve_line(4, src=ext, dst=a),
+            eve_line(7200, src="10.0.0.9", dst="10.0.0.8")])
+        assert run(self.config(tmp_path, alerts)) == 0
+        out = tmp_path / "out"
+        assert (out / "assignments.csv").read_text() == \
+            "raw_seq,model_id\n0,0\n1,0\n2,0\n3,0\n4,0\n5,1\n"
+        maneuvers = {m["model_id"]: m["pmf"]["maneuver"]
+                     for m in latest_export(str(out))["models"]}
+        assert maneuvers == {
+            0: {"inbound:stream_start": 0.2, "outbound:src_is_last_dst": 0.2,
+                "internal:internal_pivot": 0.4,
+                "inbound:src_is_last_dst": 0.2},
+            1: {"internal:stream_start": 1.0}}
+
     def test_invalid_utf8_line_rejected(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         path.write_bytes(eve_line(0.0).encode() + b"\n\xff\xfe garbage\n"
@@ -765,6 +787,17 @@ class TestMain:
         assert "alerts_in=0" in captured.out
         assert latest_export(str(out))["schema"] == "assert-models/1"
         assert (out / "assignments.csv").exists()
+
+    @pytest.mark.parametrize("source", ["file:", "tcp:localhost"])
+    def test_source_without_target_exits_two(self, tmp_path, capsys, source):
+        """A file source with no path, or a TCP source with no integer port,
+        is a config error before any output."""
+        out = tmp_path / "out"
+        assert main(["--source", source, "--export-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_infinite_export_interval_exits_two(self, tmp_path, capsys):
         alerts = write_alerts(tmp_path / "a.json", [eve_line(0.0)])

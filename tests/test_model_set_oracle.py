@@ -6,19 +6,23 @@ through oracles.ModelSetRef.  Each call must give the same model id,
 action, merges and retired ids, and an h_star within 1e-9, so the engine's
 shortcuts (the no-merge certificate, one-row re-smoothing, counts views,
 the shared decay clock) are checked against the definitions over a run,
-not only against the previous commit.
+not only against the previous commit.  Seeded random churn, replayed the
+same way, checks that merge_pass, which scans only the row an admission
+touched, finds the merges of the oracle's full pairwise scan.
 """
 
 import importlib.util
 import pathlib
+import random
 
 import pytest
 
 from alertsynth.export_cli import build_config
 from alertsynth.synth_harness import generate_scenario
-from alertsynth.synthesis import ModelSet
+from alertsynth.synthesis import ModelSet, SynthConfig
 from conftest import SCENARIOS, run_engine
 from oracles import ModelSetRef
+from test_synthesis import CARDS, VOCABS, nearby_agg
 
 _spec = importlib.util.spec_from_file_location(
     "workloads",
@@ -29,10 +33,9 @@ _spec.loader.exec_module(workloads)
 CHURN = {"merge_threshold": "0.4", "window": "900s"}
 
 
-def recorded_run(monkeypatch, scenario, config, base):
-    """The engine's model set and its observe and retire_pass calls, in
-    order, over a fixture scenario or benchmark workload run with config on
-    top of its own: ("observe", pmfs, n, now, (model id, action, h_star,
+def recording(monkeypatch):
+    """A list that, from now on, gets every ModelSet observe and retire_pass
+    call in order: ("observe", pmfs, n, now, (model id, action, h_star,
     merges)) and ("retire", now, retired ids)."""
     calls = []
     observe, retire_pass = ModelSet.observe, ModelSet.retire_pass
@@ -50,6 +53,13 @@ def recorded_run(monkeypatch, scenario, config, base):
 
     monkeypatch.setattr(ModelSet, "observe", recording_observe)
     monkeypatch.setattr(ModelSet, "retire_pass", recording_retire)
+    return calls
+
+
+def recorded_run(monkeypatch, scenario, config, base):
+    """The engine's model set and its recorded calls over a fixture scenario
+    or benchmark workload run with config on top of its own."""
+    calls = recording(monkeypatch)
     alerts, _ = generate_scenario(scenario.specs, scenario.noise_rate,
                                   scenario.duration, scenario.seed, str(base))
     engine = run_engine(build_config({**scenario.config, **config,
@@ -101,3 +111,35 @@ def test_run_matches_textbook_model_set(monkeypatch, tmp_path,
     if config == CHURN:
         assert merges > 0
         assert any(call[0] == "retire" and call[2] for call in calls)
+
+
+def test_random_churn_matches_textbook_model_set(monkeypatch,
+                                                  record_property):
+    """Seeded churn on a small action space: 40 admissions of neighbouring
+    values per seed, under a merge threshold and window that make models
+    merge and retire often, with a retire pass after one admission in
+    five."""
+    calls = recording(monkeypatch)
+    merges, margins = 0, {"h_star": float("inf"), "jsd": float("inf")}
+    for seed in range(20):
+        rng = random.Random(seed)
+        ms = ModelSet(SynthConfig(merge_threshold=0.3, ewma_window=3600.0),
+                      CARDS, VOCABS)
+        calls.clear()
+        now = 0
+        for _ in range(40):
+            ms.observe(nearby_agg(rng, now), now)
+            if rng.random() < 0.2:
+                ms.retire_pass(now)
+            now += rng.randint(0, int(1200 * 1e6))
+        oracle, merged = replay(ms, calls)
+        assert [m.model_id for m in oracle.models] == \
+            [m.model_id for m in ms.models]
+        merges += merged
+        margins = {k: min(v, oracle.margins[k]) for k, v in margins.items()}
+    for key, margin in margins.items():
+        record_property(f"{key}_margin", margin)
+    print(f"random churn: 20 seeds, {merges} merges, tightest "
+          f"|h_star - bound| {margins['h_star']:.4g}, "
+          f"|JSD - threshold| {margins['jsd']:.4g}")
+    assert merges >= 20

@@ -1,14 +1,22 @@
 """tools/artifact_digests.py prints one digest line per run, rejects a
 malformed --set entry as a usage error, and gives the pinned digests of
-`small` and `periodic-c2` under each segmenter."""
+`small` and `periodic-c2` under each segmenter; the session runs of the
+other three fixture scenarios give the tool's pinned export and counters
+digests."""
 
+import hashlib
 import importlib.util
 import pathlib
 import re
 
 import pytest
 
-TOOL = pathlib.Path(__file__).parent.parent / "tools" / "artifact_digests.py"
+ROOT = pathlib.Path(__file__).parent.parent
+TOOL = ROOT / "tools" / "artifact_digests.py"
+_spec = importlib.util.spec_from_file_location("checks",
+                                               ROOT / "bench" / "checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +31,7 @@ def test_prints_one_line_per_scenario(digests_tool, capsys):
     assert digests_tool.main(["--scenarios", "small", "--workloads", ""]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    assert re.fullmatch(r"small [0-9a-f]{64} [0-9a-f]{64}", lines[0])
+    assert re.fullmatch(r"small( [0-9a-f]{64}){3}", lines[0])
 
 
 def test_set_without_equals_is_a_usage_error(digests_tool, capsys):
@@ -31,17 +39,6 @@ def test_set_without_equals_is_a_usage_error(digests_tool, capsys):
         digests_tool.main(["--scenarios", "", "--workloads", "", "--set", "foo"])
     assert exc.value.code == 2
     assert "KEY=VALUE" in capsys.readouterr().err
-
-
-def test_admissions_flag_appends_a_fourth_digest(digests_tool, capsys):
-    args = ["--scenarios", "small", "--workloads", ""]
-    assert digests_tool.main(args) == 0
-    plain = capsys.readouterr().out.split()
-    assert digests_tool.main(args + ["--admissions"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    assert re.fullmatch(r"small( [0-9a-f]{64}){3}", lines[0])
-    assert lines[0].split()[:3] == plain
 
 
 def test_set_applies_to_the_fixture_scenarios(digests_tool, capsys):
@@ -93,9 +90,35 @@ PINNED = {
 
 @pytest.mark.parametrize("segmenter", sorted(PINNED))
 def test_admissions_digests_are_pinned(digests_tool, capsys, segmenter):
-    args = ["--scenarios", "small", "--workloads", "periodic-c2", "--admissions"]
+    args = ["--scenarios", "small", "--workloads", "periodic-c2"]
     if segmenter != "default":
         args += ["--set", f"segmenter={segmenter}"]
     assert digests_tool.main(args) == 0
     got = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert got == [[name, *digests] for name, digests in PINNED[segmenter].items()]
+
+
+# The export and counters digests that tools/artifact_digests.py prints for
+# the default runs of the other fixture scenarios, recorded at commit
+# 79b3968; the session fixtures make those same runs through run_engine.
+FIXTURE_PINNED = {
+    "kerb": (
+        "2b3b1dc8a4c885497e8f71eb6b59bab695eaf906d9feae2f85cdc6754aa83614",
+        "acc9634eaf411965cb5bd928d37b68a4176889dfdd71ff3d00b03f4b2223a84d"),
+    "five": (
+        "d2d8f7a7995cd9ea03447d230155aa8fd2fa9ffed9385379305a0a5858ac119f",
+        "9708b0dd689489243f8a4529cd603ed5fc7c73773094bc7d794fea96b3a3b6aa"),
+    "periodic": (
+        "67797c376fbdd2645e5731c9d0f4c44f20c5b77cc56c07b132a2a417fd71296a",
+        "78e078613883b77949f82df5d6e63b5618c2da899f09a39b42f2c0162df944d4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PINNED))
+def test_fixture_run_digests_are_pinned(request, name):
+    scenario = request.getfixturevalue(f"scenario_{name}")
+    # the counters line as run() prints it, newline included
+    line = " ".join(f"{k}={v}" for k, v in scenario.engine.counters().items())
+    assert (checks.export_digest(scenario.out_dir),
+            hashlib.sha256(f"{line}\n".encode("utf-8")).hexdigest()) == \
+        FIXTURE_PINNED[name]

@@ -3,21 +3,21 @@ behaviour byte-identical.
 
     PYTHONPATH=src python3 tools/artifact_digests.py [ALERTS ...]
         [--set KEY=VALUE ...] [--scenarios kerb,five,periodic,small]
-        [--workloads kerb-flood,periodic-c2] [--admissions]
+        [--workloads kerb-flood,periodic-c2]
 
 Runs the end-to-end scenarios of the SCENARIOS table in tests/conftest.py
 (the one its fixtures read), then the benchmark workloads of
 bench/workloads.py, then each alerts file given, through
 alertsynth.export_cli.run, and prints one line per run:
 
-    <name> <export directory sha256> <counters line sha256> [<admissions sha256>]
+    <name> <export directory sha256> <counters line sha256> <admissions sha256>
 
 The export digest is the benchmark's (bench/checks.py): every file name and
 byte of models-*.json, evidence.csv and assignments.csv.  The counters
-digest covers the line run() prints, newline included.  With --admissions a
-fourth digest covers the outcome of every ModelSet.observe call in order:
-model id, action, the exact bits of h_star and the merges, so that equal
-digests mean the model set took the same decisions.  Each scenario's and
+digest covers the line run() prints, newline included.  The admissions
+digest covers the outcome of every ModelSet.observe call in order: model
+id, action, the exact bits of h_star and the merges, so that equal digests
+mean the model set took the same decisions.  Each scenario's and
 workload's input is generated from its seed and run with its own config;
 --set entries are config keys applied on top of that to every run, the
 given alerts files included.  --scenarios '' and --workloads '' skip them.
@@ -64,16 +64,16 @@ def recorded_admissions(digest):
         ModelSet.observe = observe
 
 
-def digests(alerts, config, out_dir, admissions=False):
-    """(export digest, counters digest) of one run() over alerts, and the
-    admissions digest when asked for."""
+def digests(alerts, config, out_dir):
+    """(export digest, counters digest, admissions digest) of one run() over
+    alerts."""
     captured, decisions = io.StringIO(), hashlib.sha256()
     with redirect_stdout(captured), recorded_admissions(decisions):
         run(build_config({**config, "source": f"file:{alerts}",
                           "export_dir": out_dir}))
     counters = captured.getvalue().encode("utf-8")
-    out = [export_digest(out_dir), hashlib.sha256(counters).hexdigest()]
-    return out + [decisions.hexdigest()] if admissions else out
+    return (export_digest(out_dir), hashlib.sha256(counters).hexdigest(),
+            decisions.hexdigest())
 
 
 def pick(parser, flag, value, table):
@@ -94,8 +94,6 @@ def main(argv=None):
                         help="comma list of fixture scenarios ('' for none)")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma list of benchmark workloads ('' for none)")
-    parser.add_argument("--admissions", action="store_true",
-                        help="append a digest of every model-set admission")
     args = parser.parse_args(argv)
     bad = [entry for entry in args.set if "=" not in entry]
     if bad:
@@ -108,18 +106,16 @@ def main(argv=None):
             base = os.path.join(work, name)
             alerts, _ = SCENARIOS[name].generate(base)
             print(name, *digests(alerts, {**SCENARIOS[name].config, **config},
-                                 os.path.join(base, "out"), args.admissions),
-                  flush=True)
+                                 os.path.join(base, "out")), flush=True)
         for name in workloads:
             w, base = WORKLOADS[name], os.path.join(work, name)
             alerts, _ = generate_scenario(w.specs, w.noise_rate, w.duration,
                                           w.seed, base)
             print(name, *digests(alerts, {**w.config, **config},
-                                 os.path.join(base, "out"), args.admissions),
-                  flush=True)
+                                 os.path.join(base, "out")), flush=True)
         for k, path in enumerate(args.alerts):
-            print(path, *digests(path, config, os.path.join(work, f"file{k}"),
-                                 args.admissions), flush=True)
+            print(path, *digests(path, config, os.path.join(work, f"file{k}")),
+                  flush=True)
     return 0
 
 
