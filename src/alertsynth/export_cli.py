@@ -389,13 +389,10 @@ class Engine:
         runs = []
         if state.handle is None:
             state.handle = SEGMENTERS[self.config.segmenter](self.config)
-        elif late:
-            # a boundary between the clock and the open segment's horizon
-            # would have closed the segment; close it here in the same way
-            # (before this alert the stream's last_ts was elapsed_us lower)
-            horizon = state.handle.horizon(state.last_ts - elapsed_us)
-            if horizon is not None and horizon < self.clock:
-                runs = state.handle.flush()
+        elif late and state.horizon is not None and state.horizon < self.clock:
+            # a boundary between the clock and the horizon stored at the
+            # stream's previous alert would have closed the segment here
+            runs = state.handle.flush()
         port = alert.src_port if direction == "outbound" else alert.dst_port
         action = Action(
             ais=map_ais_index(alert, self.tables),
@@ -404,7 +401,9 @@ class Engine:
             timebin=bin_elapsed_index(elapsed_us),
             ts=alert.ts, stream_id=stream_id, raw_seq=alert.raw_seq)
         self.actions_total += 1
-        self._admit(runs + state.handle.feed(action, elapsed_us), self.clock)
+        runs += state.handle.feed(action, elapsed_us)
+        state.horizon = state.handle.horizon(state.last_ts)
+        self._admit(runs, self.clock)
 
     def _admit(self, runs: List[List[Action]], now: int) -> None:
         """Build and admit closed runs one at a time in (t_end, stream_id)
@@ -435,7 +434,7 @@ class Engine:
         for state in states:
             if state.handle is not None:
                 runs += state.handle.flush()
-                state.handle = None
+                state.handle = state.horizon = None
         self._admit(runs, ts)
         self.model_set.retire_pass(ts)
         self._export(ts)

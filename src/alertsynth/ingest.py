@@ -233,8 +233,11 @@ def _tcp_lines(target: str) -> Iterator[str]:
     # One connection at a time, newline-delimited records, ends on EOF.
     host, _, port_s = target.rpartition(":")
     try:
-        server = socket.create_server((host or "127.0.0.1", int(port_s)))
-    except (OSError, OverflowError, ValueError) as exc:
+        port = int(port_s)
+        if not 0 <= port <= 65535:  # create_server would leak its socket
+            raise ValueError("port must be 0-65535")
+        server = socket.create_server((host or "127.0.0.1", port))
+    except (OSError, ValueError) as exc:
         raise SourceError(f"cannot listen on {target}: {exc}")
     with server:
         conn, _ = server.accept()

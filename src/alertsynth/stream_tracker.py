@@ -21,7 +21,7 @@ from .ingest import Alert
 
 @dataclass(slots=True)
 class StreamState:
-    """Mutable per-stream bookkeeping."""
+    """Mutable per-stream bookkeeping; gc reads the stored horizon only."""
 
     stream_id: str
     last_ts: int
@@ -29,6 +29,8 @@ class StreamState:
     last_dst: str
     handle: object = None        # open segmenter, owned by the pipeline;
                                  # None until the first alert and once closed
+    horizon: Optional[int] = None  # the open segment's horizon as of the
+                                 # last alert, stored by the pipeline
     due: int = 0                 # gc checks the stream once now passes this
 
 
@@ -148,8 +150,8 @@ class StreamTracker:
 
     def gc(self, now: int) -> List[StreamState]:
         """Evict streams idle longer than the idle timeout and return them;
-        list in self.quiet the live streams whose open segment's horizon
-        (its handle's horizon(last_ts)) lies before now.
+        list in self.quiet the live streams whose stored horizon lies
+        before now, to wake next at their eviction.
 
         One pass over the stream table checks only the streams due before
         now: each stream's due stamp is no later than its earliest
@@ -158,12 +160,17 @@ class StreamTracker:
         evicted: List[StreamState] = []
         self.quiet = []
         for state in [s for s in self.states.values() if s.due < now]:
-            wake = self._check(state, now)
-            if wake is None:
+            deadline = state.last_ts + self.idle_timeout_us
+            if deadline < now:
                 del self.states[state.stream_id]
                 evicted.append(state)
+            elif state.horizon is None or state.horizon >= deadline:
+                state.due = deadline
+            elif state.horizon < now:    # the pipeline closes the segment
+                self.quiet.append(state)
+                state.due = deadline
             else:
-                state.due = wake
+                state.due = state.horizon
         if evicted:  # the index holds live streams only
             for ip, entries in list(self._touch_index.items()):
                 for stream_id in [s for s in entries if s not in self.states]:
@@ -171,21 +178,3 @@ class StreamTracker:
                 if not entries:
                     del self._touch_index[ip]
         return evicted
-
-    def _check(self, state: StreamState, now: int) -> Optional[int]:
-        """The stream's next wake-up after a check at now, or None when it
-        has been idle past the timeout and is to be evicted.  A passed
-        horizon lists the stream in self.quiet and leaves its eviction as
-        the next wake-up, since its segment is closed.  A stream without a
-        handle has no horizon."""
-        deadline = state.last_ts + self.idle_timeout_us
-        if deadline < now:
-            return None
-        horizon = (None if state.handle is None
-                   else state.handle.horizon(state.last_ts))
-        if horizon is not None:
-            if horizon < now:
-                self.quiet.append(state)
-            elif horizon < deadline:
-                return horizon
-        return deadline

@@ -78,7 +78,11 @@ class BehaviorSpec:
     def __post_init__(self) -> None:
         checks = [
             (self.count >= 1, "count must be at least 1"),
+            (all(map(math.isfinite, (self.start, self.period, self.gap_median,
+                                     self.gap_sigma))),
+             "start, period and gap params must be finite"),
             (self.gap_median > 0 and self.gap_sigma >= 0, "gap params must be positive"),
+            (0 <= self.service_port <= 65535, "service_port must be 0-65535"),
             (len(self.signatures) >= 1, "at least one signature required"),
             (len(self.ais_mix) == len(self.signatures),
              "ais_mix length must match signatures"),
@@ -165,6 +169,8 @@ def generate_scenario(specs: Sequence[BehaviorSpec], noise_rate: float,
     per seed.  Identical (ts, src, dst, signature) collisions are perturbed
     by +1 microsecond until distinct.
     """
+    if not (math.isfinite(noise_rate) and math.isfinite(duration)):
+        raise ConfigError("noise_rate and duration must be finite")
     rng = np.random.default_rng(seed)
     records = _noise_records(rng, noise_rate, duration)
     for spec in specs:

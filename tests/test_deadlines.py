@@ -22,7 +22,8 @@ from test_export_cli import eve_line
 def replay(lines, tmp_path, entries):
     """Run lines through an Engine; returns (engine, admissions), one
     (raw_seqs, now, t_end, at shutdown) per admitted aggregate.  Every
-    boundary's gc is checked against a full scan of the stream table."""
+    boundary's gc is checked against a full scan of the stream table that
+    asks each stream's segmenter for its horizon."""
     engine = Engine(build_config({**entries, "export_dir": str(tmp_path)}))
     admissions = []
     shutdown = [False]
@@ -41,6 +42,8 @@ def replay(lines, tmp_path, entries):
         for s in states:
             # a stream whose segmenter was released has no horizon
             horizon = None if s.handle is None else s.handle.horizon(s.last_ts)
+            # gc compares the horizon the engine stored at the last alert
+            assert s.horizon == horizon
             if s.stream_id not in evict and horizon is not None and horizon < now:
                 quiet.add(s.stream_id)
         evicted = gc(now)

@@ -181,6 +181,17 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             build_config({key: value})
 
+    def test_readme_table_lists_every_config_key(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("| key | default | meaning |\n", 1)[1]
+        keys = set()
+        for line in lines.splitlines()[1:]:   # below the |---| row
+            if not line.startswith("|"):
+                break
+            keys.add(line.split("|")[1].strip().strip("`"))
+        assert keys == set(export_cli._PARSERS)
+
     def test_ais_categories_split(self):
         cfg = build_config({"ais_categories":
                             "Benign, Discovery ,CommandAndControl"})

@@ -241,20 +241,6 @@ GC = st.tuples(st.just("gc"), st.sampled_from([0, 1, 50, 99, 100, 101]))
 OPS = st.lists(st.one_of(ASSIGN, ASSIGN, ASSIGN, GC), min_size=20, max_size=60)
 
 
-class Segment:
-    """Stands in for a stream's segmenter: open with a given silence after
-    each alert, closed by flush."""
-
-    def __init__(self) -> None:
-        self.silence_us = None
-
-    def horizon(self, last_ts):
-        return None if self.silence_us is None else last_ts + self.silence_us
-
-    def flush(self):
-        self.silence_us = None
-
-
 class TestTrackerProperties:
     """Random interleavings of assign and gc against a brute-force model
     kept from the test's own log of touches and a full scan of the
@@ -267,6 +253,7 @@ class TestTrackerProperties:
         horizon_us, idle_us = int(HORIZON_S * 1e6), int(idle_s * 1e6)
         born = {}      # live stream id -> index into log when it started
         last = {}      # live stream id -> latest alert timestamp
+        silence = {}   # live stream id -> silence of its open segment, us
         log = []       # (stream id, internal ip, us) per touch, in order
         clock = 0
         for op in ops:
@@ -274,17 +261,17 @@ class TestTrackerProperties:
             if op[0] == "gc":
                 evict = {s for s in born if clock - last[s] > idle_us}
                 quiet = {s for s in born if s not in evict
-                         and t.states[s].handle.silence_us is not None
-                         and last[s] + t.states[s].handle.silence_us < clock}
+                         and silence[s] is not None
+                         and last[s] + silence[s] < clock}
                 evicted = {s.stream_id for s in t.gc(clock)}
                 assert evicted == evict
                 assert {s.stream_id for s in t.quiet} == quiet
                 for state in t.quiet:    # the pipeline closes them
-                    state.handle.flush()
+                    silence[state.stream_id] = state.horizon = None
                 for s in evicted:
-                    del born[s], last[s]
+                    del born[s], last[s], silence[s]
             else:
-                src, dst, lag, silence = op[2:]
+                src, dst, lag, quiet_s = op[2:]
                 internal = src in INTERNAL and dst in INTERNAL
                 ts = clock if internal else clock - lag * 1_000_000
                 pivot = None
@@ -305,10 +292,10 @@ class TestTrackerProperties:
                         assert sid == pivot
                 if trans == "stream_start":
                     born[sid] = len(log)
-                    t.states[sid].handle = Segment()
                 last[sid] = max(last.get(sid, ts), ts)
-                t.states[sid].handle.silence_us = (
-                    None if silence is None else silence * 1_000_000)
+                silence[sid] = None if quiet_s is None else quiet_s * 1_000_000
+                t.states[sid].horizon = (None if silence[sid] is None
+                                         else last[sid] + silence[sid])
                 log += [(sid, ip, ts) for ip in (src, dst) if ip in INTERNAL]
             assert set(t.states) == set(born)
             assert all(t.states[s].last_ts == last[s] for s in born)
@@ -324,8 +311,8 @@ class TestNewStreams:
     def new_stream(self, tables, silence_s):
         t = tracker(tables, idle_timeout=3600.0)
         state = t.states[t.assign(mk(10, EXT_A, INT_A))[0]]
-        state.handle = Segment()
-        state.handle.silence_us = None if silence_s is None else int(silence_s * 1e6)
+        state.horizon = (None if silence_s is None
+                         else state.last_ts + int(silence_s * 1e6))
         return t, state
 
     def test_due_at_its_horizon(self, tables):

@@ -44,6 +44,12 @@ class TestBehaviorSpecValidation:
         {"sources": ()},
         {"targets": ()},
         {"direction": "sideways"},
+        {"start": float("inf")},
+        {"period": float("inf")},
+        {"gap_median": float("inf")},
+        {"gap_sigma": float("inf")},
+        {"service_port": 70000},
+        {"service_port": -1},
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError, match="behavior 'probe'"):
@@ -326,6 +332,18 @@ class TestHarnessMain:
         captured = capsys.readouterr()
         assert f"scenario error: cannot read scenario {path}:" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("line", ["noise_rate = inf", "noise_rate = nan",
+                                      "duration = inf"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, line):
+        spec_path = TestLoadScenario().write_spec(tmp_path, line)
+        out = tmp_path / "scen"
+        assert harness_main(["--spec", spec_path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("scenario error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (out / "alerts.jsonl").exists()
 
     def test_missing_behavior_field_exits_two(self, tmp_path, capsys):
         path = tmp_path / "s.conf"
